@@ -163,16 +163,15 @@ def _delta_hat(
         [np.kron(S, G[r : r + 1, :]) + np.kron(G, S[r : r + 1, :]) for r in range(q)]
     )
     D2 = np.zeros((q * q, q * q))
-    D3 = np.zeros((q * q, q * q))
     for p in proj.projections:
         vA = p.gram_inv.ravel(order="F")
         D2 += np.outer(vA, vA)
-        W = p.Z @ p.gram_inv.T  # rows are gram_inv @ z_ij
-        for j in range(p.n):
-            w = np.kron(W[j], W[j])
-            D3 += np.outer(w, w)
     D2 /= m
-    D3 /= m
+    # rows of W are gram_inv @ z_ij over all observations; row j of K is
+    # kron(W_j, W_j), so D3 = sum_j outer(K_j, K_j) / m
+    W = np.vstack([p.Z @ p.gram_inv.T for p in proj.projections])
+    K = (W[:, :, None] * W[:, None, :]).reshape(W.shape[0], q * q)
+    D3 = K.T @ K / m
     s2 = vc.sigma2
     gG = np.outer(vecG, vecG)
     c_ratio = consts.c1 / consts.c2

@@ -5,6 +5,17 @@ are regressed on the covariates and their interactions with powers of
 (U - u), weighted by the kernel.  Degree 1 yields the coefficient estimate
 and its slope; degree 3 (used by the diagnostics module) additionally yields
 curvature.
+
+Many targets are solved together: consecutive evaluation points are grouped
+into blocks whose targets x window-union size stays under a fixed element
+budget.  Each block forms its kernel-weighted moments sum w d^s x x^T and
+sum w d^s x y with one matrix product each over the union of its windows
+(every target masked to its own window), then solves all its normal
+equations with one stacked Cholesky factorisation.  A block holding an
+empty or underdetermined window, a failed factorisation or a non-finite
+solution is redone point by point with the single-target solver, which
+owns the ridge fallback and the error messages.  The single-target solver
+is also the reference the blocked solve is tested against.
 """
 
 from __future__ import annotations
@@ -110,10 +121,11 @@ class _Windows:
 
 
 def _chol_solve(moment: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # moment is PSD by construction; Cholesky doubles as the singularity check
+    # moment is PSD by construction; Cholesky doubles as the singularity
+    # check.  Works on one system or a stack of them (leading axes).
     low = np.linalg.cholesky(moment)
-    z = np.linalg.solve(low, rhs)
-    theta = np.linalg.solve(low.T, z)
+    z = np.linalg.solve(low, rhs[..., None])
+    theta = np.linalg.solve(np.swapaxes(low, -1, -2), z)[..., 0]
     if not np.all(np.isfinite(theta)):
         raise np.linalg.LinAlgError("non-finite solution")
     return theta
@@ -158,6 +170,86 @@ def _solve_local(win: _Windows, u: float, kernel: KernelSpec, degree: int, ridge
             ) from None
         used_ridge = True
     return theta.reshape(degree + 1, p), used_ridge
+
+
+# Upper bound on targets x window-union entries per block; it bounds the
+# block's working arrays (about 2*degree+1 of this many doubles).
+_BLOCK_ELEMENTS = 2**14
+
+
+def _solve_block(win, XX, XY, pts, lo, hi, kernel, degree):
+    """Stacked fit at the targets `pts` (windows [lo, hi)); None if any is degenerate."""
+    start, stop = int(lo.min()), int(hi.max())
+    idx = np.arange(start, stop)
+    inside = (idx >= lo[:, None]) & (idx < hi[:, None])
+    d = win.u[start:stop] - pts[:, None]
+    w = np.where(inside, kernel.weights(d), 0.0)
+    p = win.X.shape[1]
+    if np.count_nonzero(w, axis=1).min() < (degree + 1) * p:
+        return None
+    # powers[s] = w * d^s, s = 0..2*degree
+    powers = np.empty((2 * degree + 1,) + w.shape)
+    powers[0] = w
+    for s in range(1, 2 * degree + 1):
+        np.multiply(powers[s - 1], d, out=powers[s])
+    n_pts, width = w.shape
+    mom = (powers.reshape(-1, width) @ XX[start:stop]).reshape(2 * degree + 1, n_pts, p, p)
+    rhs = (powers[: degree + 1].reshape(-1, width) @ XY[start:stop]).reshape(
+        degree + 1, n_pts, p
+    )
+    # block (a, b) of the local moment matrix is mom[a + b]
+    order = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
+    size = (degree + 1) * p
+    moment = mom[order].transpose(2, 0, 3, 1, 4).reshape(n_pts, size, size)
+    try:
+        theta = _chol_solve(moment, rhs.transpose(1, 0, 2).reshape(n_pts, size))
+    except np.linalg.LinAlgError:
+        return None
+    return theta.reshape(n_pts, degree + 1, p)
+
+
+def _solve_points(
+    win: _Windows, points: np.ndarray, kernel: KernelSpec, degree: int, ridge: bool
+):
+    """Local polynomial fits at every point; returns (theta (k, degree+1, p), ridged list).
+
+    Consecutive points are solved as one stacked system per block (see the
+    module docstring); a block with any degenerate window is redone point by
+    point with `_solve_local`, so ridging and errors match it exactly.
+    """
+    h = kernel.bandwidth
+    lo = np.searchsorted(win.u, points - h, side="left")
+    hi = np.searchsorted(win.u, points + h, side="right")
+    XX = (win.X[:, :, None] * win.X[:, None, :]).reshape(win.X.shape[0], -1)
+    XY = win.X * win.y[:, None]
+    theta = np.empty((points.size, degree + 1, win.X.shape[1]))
+    ridged = []
+    begin = 0
+    while begin < points.size:
+        end = begin + 1
+        start, stop = lo[begin], hi[begin]
+        while end < points.size:
+            new_start, new_stop = min(start, lo[end]), max(stop, hi[end])
+            if (end - begin + 1) * (new_stop - new_start) > _BLOCK_ELEMENTS:
+                break
+            start, stop = new_start, new_stop
+            end += 1
+        block = _solve_block(
+            win, XX, XY, points[begin:end], lo[begin:end], hi[begin:end], kernel, degree
+        )
+        if block is not None:
+            theta[begin:end] = block
+        else:
+            for i in range(begin, end):
+                u = float(points[i])
+                try:
+                    theta[i], used_ridge = _solve_local(win, u, kernel, degree, ridge)
+                except NumericalError as e:
+                    raise type(e)(f"eval point u={u}: {e}") from e
+                if used_ridge:
+                    ridged.append(u)
+        begin = end
+    return theta, ridged
 
 
 def local_linear_fit(
@@ -207,20 +299,9 @@ def fit_curve(
                 f"evaluation points outside observed range "
                 f"[{win.u_min}, {win.u_max}]: {outside[:3].tolist()}"
             )
-    values = np.empty((points.size, ds.p))
-    slopes = np.empty((points.size, ds.p))
-    ridged = []
-    for i, u in enumerate(points):
-        try:
-            blocks, used_ridge = _solve_local(win, float(u), kernel, degree=1, ridge=ridge)
-        except NumericalError as e:
-            raise type(e)(f"eval point u={u}: {e}") from e
-        values[i] = blocks[0]
-        slopes[i] = blocks[1]
-        if used_ridge:
-            ridged.append(float(u))
+    theta, ridged = _solve_points(win, points, kernel, degree=1, ridge=ridge)
     return CoefficientCurve(
-        points=points, values=values, slopes=slopes, ridged_points=tuple(ridged)
+        points=points, values=theta[:, 0], slopes=theta[:, 1], ridged_points=tuple(ridged)
     )
 
 
@@ -235,14 +316,8 @@ def curvature_at_points(
     """
     win = _Windows(ds)
     points = np.asarray(points, dtype=float)
-    out = np.empty((points.size, ds.p))
-    for i, u in enumerate(points):
-        try:
-            blocks, _ = _solve_local(win, float(u), kernel, degree=3, ridge=ridge)
-        except NumericalError as e:
-            raise type(e)(f"eval point u={u}: {e}") from e
-        out[i] = 2.0 * blocks[2]
-    return out
+    theta, _ = _solve_points(win, points, kernel, degree=3, ridge=ridge)
+    return 2.0 * theta[:, 2]
 
 
 def residuals(

@@ -7,12 +7,21 @@ from vcre import (
     EmptyWindowError,
     KernelSpec,
     NumericalError,
+    ScenarioConfig,
     SingularWindowError,
     fit_curve,
+    generate,
     local_linear_fit,
     residuals,
 )
-from vcre.smoother import curvature_at_points
+from vcre.kernels import tabulated_profile
+from vcre.smoother import (
+    _BLOCK_ELEMENTS,
+    _solve_local,
+    _solve_points,
+    _Windows,
+    curvature_at_points,
+)
 
 from helpers import dataset_from_arrays, random_dataset
 
@@ -272,3 +281,125 @@ def test_curvature_infeasible_window_errors():
     ds = dataset_from_arrays(rows, p=1, q=1)
     with pytest.raises(NumericalError):
         curvature_at_points(ds, KernelSpec(bandwidth=0.5), [0.1])
+
+
+def pointwise_oracle(win, points, kernel, degree, ridge):
+    # one _solve_local per point, with the per-point error wrapping of the
+    # smoother's public functions
+    thetas, ridged = [], []
+    for u in points:
+        try:
+            theta, used_ridge = _solve_local(win, float(u), kernel, degree, ridge)
+        except NumericalError as e:
+            raise type(e)(f"eval point u={u}: {e}") from e
+        thetas.append(theta)
+        if used_ridge:
+            ridged.append(float(u))
+    return np.array(thetas), ridged
+
+
+ORACLE_KERNELS = {
+    "epanechnikov": KernelSpec(bandwidth=0.15),
+    "uniform": KernelSpec(bandwidth=0.15, kind="uniform"),
+    "triangular": KernelSpec(bandwidth=0.15, kind="triangular"),
+    "tabulated": KernelSpec(
+        bandwidth=0.15,
+        kind="custom",
+        profile=tabulated_profile(
+            np.linspace(-1.0, 1.0, 9), 0.9375 * (1.0 - np.linspace(-1.0, 1.0, 9) ** 2) ** 2
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("kind", sorted(ORACLE_KERNELS))
+def test_blocked_solve_matches_pointwise_oracle(degree, kind):
+    # reference design at m = 100; the blocked solve sums the window moments
+    # in another order, so it agrees with the per-point solve to rounding:
+    # |blocked - loop| <= 1e-9 * max|loop| in every coefficient column
+    ds = generate(ScenarioConfig(seed=7, m=100), 0)
+    kernel = ORACLE_KERNELS[kind]
+    if degree == 3:
+        kernel = kernel.with_bandwidth(2.0 * kernel.bandwidth)
+    win = _Windows(ds)
+    points = np.unique(ds.u_all)
+    lo = np.searchsorted(win.u, points - kernel.bandwidth, side="left")
+    hi = np.searchsorted(win.u, points + kernel.bandwidth, side="right")
+    # each block holds at most _BLOCK_ELEMENTS / min(window) targets
+    assert points.size * np.min(hi - lo) > 4 * _BLOCK_ELEMENTS  # over 4 blocks
+    theta, ridged = _solve_points(win, points, kernel, degree, ridge=False)
+    loop, loop_ridged = pointwise_oracle(win, points, kernel, degree, ridge=False)
+    assert ridged == loop_ridged == []
+    scale = np.max(np.abs(loop), axis=0)
+    assert np.all(np.abs(theta - loop) <= 1e-9 * scale)
+    if degree == 1:
+        curve = fit_curve(ds, kernel)
+        assert np.array_equal(curve.values, theta[:, 0])
+        assert np.array_equal(curve.slopes, theta[:, 1])
+    else:
+        # arbitrary point order: every target keeps its own window
+        shuffled = np.random.default_rng(0).permutation(points)
+        curv = curvature_at_points(ds, kernel, shuffled)
+        expected = 2.0 * loop[np.searchsorted(points, shuffled), 2]
+        assert np.all(np.abs(curv - expected) <= 2e-9 * scale[2])
+
+
+def gap_dataset():
+    # dense observations on [0, 1] and [2, 3] with one lone observation at
+    # u = 1.5: its h = 0.2 window holds a single point, fewer than the 2p
+    # a local-linear fit needs, and it shares a block with normal windows
+    rng = np.random.default_rng(14)
+    us = np.concatenate([np.linspace(0.0, 1.0, 21), [1.5], np.linspace(2.0, 3.0, 21)])
+    rows = []
+    for j, u in enumerate(us):
+        x = rng.normal()
+        rows.append((f"c{j % 5}", float(u), x * np.sin(u) + 0.1 * rng.normal(), [x], [1.0]))
+    return dataset_from_arrays(rows, p=1, q=1)
+
+
+def test_underdetermined_window_inside_block_matches_loop():
+    ds = gap_dataset()
+    kernel = KernelSpec(bandwidth=0.2)
+    win = _Windows(ds)
+    # evaluated at u = 1.42 instead of 1.5, the lone observation sits
+    # off-centre and its rank-one moment matrix passes a Cholesky
+    # factorisation on rounding alone; only the count of positive weights
+    # flags the window
+    points = np.unique(np.append(ds.u_all[ds.u_all != 1.5], 1.42))
+    assert points.size * ds.n <= _BLOCK_ELEMENTS  # a single block
+    curve = fit_curve(ds, kernel, eval_points=points, ridge=True)
+    loop, loop_ridged = pointwise_oracle(win, points, kernel, 1, ridge=True)
+    assert curve.ridged_points == tuple(loop_ridged) == (1.42,)
+    assert np.array_equal(curve.values, loop[:, 0])
+    assert np.array_equal(curve.slopes, loop[:, 1])
+
+    with pytest.raises(SingularWindowError) as loop_err:
+        pointwise_oracle(win, points, kernel, 1, ridge=False)
+    with pytest.raises(SingularWindowError, match="eval point u=1.42") as err:
+        fit_curve(ds, kernel, eval_points=points)
+    assert str(err.value) == str(loop_err.value)
+
+
+def test_blocked_solve_keeps_searchsorted_window_bounds():
+    # an observation one ulp below u0 - h lies outside the window that
+    # searchsorted gives, yet (u - u0) / h rounds to -1 and the uniform
+    # kernel would weight it; the blocked solve must leave it out as the
+    # per-point solve does
+    u0, h = 0.25, 0.2
+    edge = float(np.nextafter(u0 - h, -np.inf))
+    assert edge < u0 - h and abs((edge - u0) / h) <= 1.0
+    rng = np.random.default_rng(15)
+    us = [u for u in np.linspace(0.0, 1.0, 21) if u != 0.05] + [edge]
+    rows = [(f"c{j % 4}", u, float(np.cos(3.0 * u) + rng.normal()), [1.0], [1.0])
+            for j, u in enumerate(us)]
+    ds = dataset_from_arrays(rows, p=1, q=1)
+    kernel = KernelSpec(bandwidth=h, kind="uniform")
+    win = _Windows(ds)
+    points = np.unique(ds.u_all)
+    assert u0 in points
+    curve = fit_curve(ds, kernel)
+    loop, _ = pointwise_oracle(win, points, kernel, 1, ridge=False)
+    scale = np.max(np.abs(loop), axis=0)
+    assert np.all(np.abs(curve.values - loop[:, 0]) <= 1e-9 * scale[0])
+    assert np.all(np.abs(curve.slopes - loop[:, 1]) <= 1e-9 * scale[1])
