@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 flag/parse error, 3 data validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import compute_diagnostics
-from .data import CsvSchema, load_dataset, validate
+from .data import CsvSchema, _write_csv, load_dataset, validate
 from .errors import (
     CsvParseError,
     DataValidationError,
@@ -80,12 +79,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs, out
     return path
 
 
-def _write_csv(path: Path, fieldnames, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+def _write_table(path: Path, fieldnames, rows):
+    _write_csv(path, fieldnames, ([_fmt(row[k]) for k in fieldnames] for row in rows))
 
 
 def _fmt(v):
@@ -316,7 +311,7 @@ def _cmd_simulate(args) -> int:
         )
         rows = table.to_rows()
         path = out_dir / "imp_table.csv"
-        _write_csv(path, list(rows[0].keys()), rows)
+        _write_table(path, list(rows[0].keys()), rows)
         outputs.append(path)
         extra = {"failures": table.failures}
     else:
@@ -327,7 +322,7 @@ def _cmd_simulate(args) -> int:
         table = run_mse_study(cfg, methods=("closed_form",), threads=args.threads)
         rows = table.to_rows()
         path = out_dir / "mse_table.csv"
-        _write_csv(path, list(rows[0].keys()), rows)
+        _write_table(path, list(rows[0].keys()), rows)
         outputs.append(path)
         extra = {"failures": table.failures}
     config.update(extra)
@@ -375,7 +370,7 @@ def _cmd_bench_reml(args) -> int:
             row[meth] = float(table.mse[i, j])
         rows.append(row)
     path = out_dir / "bench_reml.csv"
-    _write_csv(path, ["estimand"] + ordered, rows)
+    _write_table(path, ["estimand"] + ordered, rows)
     config = {
         "knots": args.knots, "reps": args.reps, "m": args.m, "q": args.q,
         "sigma2": args.sigma2, "bandwidth": args.bandwidth, "degree": args.degree,

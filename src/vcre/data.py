@@ -211,27 +211,36 @@ def load_dataset(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset
             stream.close()
 
 
+def _write_csv(target, header, rows) -> None:
+    """Write a header row and then `rows` as CSV.
+
+    `target` is an open text stream, left open, or a path, opened and closed
+    here.
+    """
+    if hasattr(target, "write"):
+        writer = csv.writer(target)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return
+    with open(target, "w", encoding="utf-8", newline="") as fh:
+        _write_csv(fh, header, rows)
+
+
 def write_dataset(ds: LongitudinalDataset, target, schema: CsvSchema = CsvSchema()) -> None:
     """Serialize a dataset back to CSV at full (round-trip) precision."""
     x_cols = schema.x_cols or tuple(f"x{i}" for i in range(1, ds.p + 1))
     z_cols = schema.z_cols or tuple(f"z{i}" for i in range(1, ds.q + 1))
-    stream, owned = (target, False) if hasattr(target, "write") else (
-        open(target, "w", encoding="utf-8", newline=""),
-        True,
+    _write_csv(
+        target,
+        [schema.cluster, schema.u, schema.y, *x_cols, *z_cols],
+        (
+            [c.id, repr(float(c.u[j])), repr(float(c.y[j]))]
+            + [repr(float(v)) for v in c.X[j]]
+            + [repr(float(v)) for v in c.Z[j]]
+            for c in ds.clusters
+            for j in range(c.n)
+        ),
     )
-    try:
-        writer = csv.writer(stream)
-        writer.writerow([schema.cluster, schema.u, schema.y, *x_cols, *z_cols])
-        for c in ds.clusters:
-            for j in range(c.n):
-                writer.writerow(
-                    [c.id, repr(float(c.u[j])), repr(float(c.y[j]))]
-                    + [repr(float(v)) for v in c.X[j]]
-                    + [repr(float(v)) for v in c.Z[j]]
-                )
-    finally:
-        if owned:
-            stream.close()
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .data import LongitudinalDataset
 from .errors import NumericalError
 from .neldermead import nelder_mead
-from .splines import SplineSpec, _design_rows
+from .splines import SplineSpec, _DesignStats
 from .symmat import SymMatrix
 from .varcomp import VarianceComponents
 
@@ -72,49 +72,20 @@ class RemlParams:
         return cls(q=q, vector=np.array(vec))
 
 
-class _Workspace:
-    """Per-size batched cluster arrays for fast likelihood evaluation."""
-
-    def __init__(self, ds: LongitudinalDataset, spec: SplineSpec):
-        self.q = ds.q
-        self.dim = spec.dim * ds.p
-        self.p = ds.p
-        self.spline_dim = spec.dim
-        groups: dict[int, list] = {}
-        for c in ds.clusters:
-            groups.setdefault(c.n, []).append(c)
-        self.batches = []
-        for size, clusters in sorted(groups.items()):
-            Z = np.stack([c.Z for c in clusters])
-            B = np.stack([_design_rows(spec, c) for c in clusters])
-            y = np.stack([c.y for c in clusters])
-            self.batches.append((size, Z, B, y))
+# likelihood evaluations reuse the spline layer's sufficient statistics
+_Workspace = _DesignStats
 
 
 def _negloglik(Sigma: np.ndarray, sigma2: float, ws: _Workspace) -> float:
     if not (np.all(np.isfinite(Sigma)) and math.isfinite(sigma2) and sigma2 > 0):
         return PENALTY
     D = ws.dim
-    A = np.zeros((D, D))
-    rhs = np.zeros(D)
-    quad_yy = 0.0
-    logdet = 0.0
-    for size, Z, B, y in ws.batches:
-        V = np.einsum("ksq,qr,ktr->kst", Z, Sigma, Z)
-        idx = np.arange(size)
-        V[:, idx, idx] += sigma2
-        try:
-            low = np.linalg.cholesky(V)
-        except np.linalg.LinAlgError:
-            return PENALTY
-        logdet += 2.0 * float(np.sum(np.log(np.diagonal(low, axis1=1, axis2=2))))
-        aug = np.concatenate([B, y[:, :, None]], axis=2)
-        sol = np.linalg.solve(V, aug)
-        ViB = sol[:, :, :D]
-        Viy = sol[:, :, D]
-        A += np.einsum("ksd,kse->de", B, ViB)
-        rhs += np.einsum("ksd,ks->d", B, Viy)
-        quad_yy += float(np.einsum("ks,ks->", y, Viy))
+    try:
+        gram, logdet = ws.weighted(Sigma, sigma2)
+    except np.linalg.LinAlgError:
+        return PENALTY
+    A = gram[:D, :D]
+    rhs = gram[:D, D]
     sign, logdet_A = np.linalg.slogdet(A)
     if sign <= 0 or not math.isfinite(logdet_A):
         return PENALTY
@@ -122,23 +93,14 @@ def _negloglik(Sigma: np.ndarray, sigma2: float, ws: _Workspace) -> float:
         beta = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
         return PENALTY
-    value = logdet + logdet_A + quad_yy - float(rhs @ beta)
+    value = logdet + logdet_A + gram[D, D] - float(rhs @ beta)
     return value if math.isfinite(value) else PENALTY
 
 
 def _profiled_coefficients(Sigma: np.ndarray, sigma2: float, ws: _Workspace) -> np.ndarray:
     D = ws.dim
-    A = np.zeros((D, D))
-    rhs = np.zeros(D)
-    for size, Z, B, y in ws.batches:
-        V = np.einsum("ksq,qr,ktr->kst", Z, Sigma, Z)
-        idx = np.arange(size)
-        V[:, idx, idx] += sigma2
-        aug = np.concatenate([B, y[:, :, None]], axis=2)
-        sol = np.linalg.solve(V, aug)
-        A += np.einsum("ksd,kse->de", B, sol[:, :, :D])
-        rhs += np.einsum("ksd,ks->d", B, sol[:, :, D])
-    beta = np.linalg.solve(A, rhs)
+    gram, _ = ws.weighted(Sigma, sigma2)
+    beta = np.linalg.solve(gram[:D, :D], gram[:D, D])
     return beta.reshape(ws.p, ws.spline_dim).T
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LongitudinalDataset
+from .data import LongitudinalDataset, _write_csv
 from .errors import (
     DataValidationError,
     EmptyWindowError,
@@ -339,24 +339,14 @@ def residuals(
 
 def write_curve_csv(curve: CoefficientCurve, target) -> None:
     """Export a curve as CSV with columns u, a1..ap, b1..bp."""
-    import csv
-
-    stream, owned = (target, False) if hasattr(target, "write") else (
-        open(target, "w", encoding="utf-8", newline=""),
-        True,
+    p = curve.p
+    _write_csv(
+        target,
+        ["u"] + [f"a{k}" for k in range(1, p + 1)] + [f"b{k}" for k in range(1, p + 1)],
+        (
+            [repr(float(curve.points[i]))]
+            + [repr(float(v)) for v in curve.values[i]]
+            + [repr(float(v)) for v in curve.slopes[i]]
+            for i in range(curve.points.size)
+        ),
     )
-    try:
-        writer = csv.writer(stream)
-        p = curve.p
-        writer.writerow(
-            ["u"] + [f"a{k}" for k in range(1, p + 1)] + [f"b{k}" for k in range(1, p + 1)]
-        )
-        for i in range(curve.points.size):
-            writer.writerow(
-                [repr(float(curve.points[i]))]
-                + [repr(float(v)) for v in curve.values[i]]
-                + [repr(float(v)) for v in curve.slopes[i]]
-            )
-    finally:
-        if owned:
-            stream.close()

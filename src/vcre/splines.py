@@ -4,16 +4,19 @@ Each coefficient function is expanded in the same clamped B-spline basis with
 equally spaced interior knots.  Working independence solves ordinary least
 squares over all observations; the weighted fit solves generalized least
 squares with the per-cluster covariance implied by estimated variance
-components.
+components.  Both fits, and the restricted likelihood in `reml`, read one set
+of sufficient statistics of the stacked design (`_DesignStats`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import trapezoid
+from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve
 
 from .data import LongitudinalDataset
@@ -52,74 +55,30 @@ class SplineSpec:
 
 
 def bspline_basis(spec: SplineSpec, u: float) -> np.ndarray:
-    """Evaluate all basis functions at u by the Cox-de Boor recursion.
+    """Evaluate all basis functions at u.
 
     The boundary knots are repeated degree+1 times, so the basis is
     (1, 0, ..., 0) at the left endpoint; the last knot span is treated as
     closed so the right endpoint evaluates to (0, ..., 0, 1).
     """
-    lo, hi = spec.interval
-    u = float(u)
-    if u < lo or u > hi:
-        raise DataValidationError(f"u={u} outside spline interval [{lo}, {hi}]")
-    t = spec.knots()
-    k = spec.degree
-    n = t.size - 1
-    vals = np.zeros(n)
-    if u == hi:
-        # rightmost non-degenerate span owns the closed endpoint
-        for i in range(n - 1, -1, -1):
-            if t[i] < t[i + 1]:
-                vals[i] = 1.0
-                break
-    else:
-        for i in range(n):
-            if t[i] <= u < t[i + 1]:
-                vals[i] = 1.0
-                break
-    for d in range(1, k + 1):
-        for i in range(n - d):
-            left = 0.0
-            if t[i + d] > t[i]:
-                left = (u - t[i]) / (t[i + d] - t[i]) * vals[i]
-            right = 0.0
-            if t[i + d + 1] > t[i + 1]:
-                right = (t[i + d + 1] - u) / (t[i + d + 1] - t[i + 1]) * vals[i + 1]
-            vals[i] = left + right
-    return vals[: spec.dim]
+    return basis_matrix(spec, [u])[0]
 
 
 def basis_matrix(spec: SplineSpec, us) -> np.ndarray:
-    """Basis values for many points at once (vectorized Cox-de Boor)."""
+    """Basis values for many points at once, shape (len(us), dim).
+
+    De Boor's recursion as implemented by `scipy.interpolate.BSpline`.
+    """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     lo, hi = spec.interval
-    if us.size and (us.min() < lo or us.max() > hi):
-        bad = us[(us < lo) | (us > hi)][0]
-        raise DataValidationError(f"u={bad} outside spline interval [{lo}, {hi}]")
-    t = spec.knots()
-    k = spec.degree
-    n = t.size - 1
-    vals = np.zeros((us.size, n))
-    # order 0: indicator of the half-open span, closed at the right endpoint
-    right_span = 0
-    for i in range(n - 1, -1, -1):
-        if t[i] < t[i + 1]:
-            right_span = i
-            break
-    at_end = us == hi
-    for i in range(n):
-        vals[:, i] = (t[i] <= us) & (us < t[i + 1])
-    vals[at_end, :] = 0.0
-    vals[at_end, right_span] = 1.0
-    for d in range(1, k + 1):
-        for i in range(n - d):
-            acc = np.zeros(us.size)
-            if t[i + d] > t[i]:
-                acc += (us - t[i]) / (t[i + d] - t[i]) * vals[:, i]
-            if t[i + d + 1] > t[i + 1]:
-                acc += (t[i + d + 1] - us) / (t[i + d + 1] - t[i + 1]) * vals[:, i + 1]
-            vals[:, i] = acc
-    return vals[:, : spec.dim]
+    outside = ~((us >= lo) & (us <= hi))
+    if outside.any():
+        raise DataValidationError(
+            f"u={us[outside][0]} outside spline interval [{lo}, {hi}]"
+        )
+    if not us.size:
+        return np.zeros((0, spec.dim))
+    return BSpline.design_matrix(us, spec.knots(), spec.degree).toarray()
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,17 +96,57 @@ class SplineFit:
         return basis_matrix(self.spec, us) @ self.coefficients
 
 
-def _design_rows(spec: SplineSpec, cluster) -> np.ndarray:
-    # row for one observation: x-entry k scales the basis block k
-    basis = basis_matrix(spec, cluster.u)  # (n_i, dim)
-    p = cluster.X.shape[1]
-    return np.hstack([cluster.X[:, [k]] * basis for k in range(p)])
+class _DesignStats:
+    """Sufficient statistics of the stacked spline design for WI, WLS and REML.
+
+    The design row of an observation is x (x) basis(u), so column block k
+    holds x_k times the basis.  With the augmented design [D | y] this keeps
+    its global Gram matrix and, per cluster, Z_i^T [D_i | y_i] and Z_i^T Z_i:
+    every GLS quantity then needs only q x q work per cluster.
+    """
+
+    def __init__(self, ds: LongitudinalDataset, spec: SplineSpec):
+        basis = basis_matrix(spec, ds.u_all)
+        self.p = ds.p
+        self.spline_dim = spec.dim
+        self.dim = spec.dim * ds.p
+        design = (ds.X_all[:, :, None] * basis[:, None, :]).reshape(ds.n, self.dim)
+        self.dy = np.column_stack([design, ds.y_all])
+        self.gram = self.dy.T @ self.dy
+        starts = ds.offsets[:-1]
+        Z = ds.Z_all
+        self.zt_dy = np.add.reduceat(Z[:, :, None] * self.dy[:, None, :], starts, axis=0)
+        self.ztz = np.add.reduceat(Z[:, :, None] * Z[:, None, :], starts, axis=0)
+        self.excess = ds.n - ds.m * ds.q  # sum of n_i - q
+
+    def weighted(self, Sigma: np.ndarray, sigma2: float) -> tuple[np.ndarray, float]:
+        """[D | y]^T V^-1 [D | y] and log|V| for V_i = Z_i Sigma Z_i^T + sigma2 I.
+
+        With Sigma = L L^T (L from the eigendecomposition, so a singular PSD
+        Sigma is fine) and M_i = sigma2 I + L^T Z_i^T Z_i L, Woodbury gives
+        V_i^-1 = [I - Z_i L M_i^-1 L^T Z_i^T] / sigma2 and
+        log|V_i| = (n_i - q) log sigma2 + log|M_i|.  Needs sigma2 > 0; raises
+        LinAlgError when some M_i is numerically not positive definite.
+        """
+        w, v = np.linalg.eigh(Sigma)
+        L = v * np.sqrt(np.clip(w, 0.0, None))
+        M = L.T @ self.ztz @ L
+        idx = np.arange(L.shape[0])
+        M[:, idx, idx] += sigma2
+        low = np.linalg.cholesky(M)
+        U = np.linalg.solve(low, L.T @ self.zt_dy)
+        U = U.reshape(-1, U.shape[-1])
+        logdet = self.excess * math.log(sigma2) + 2.0 * float(
+            np.sum(np.log(np.diagonal(low, axis1=1, axis2=2)))
+        )
+        return (self.gram - U.T @ U) / sigma2, logdet
 
 
-def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray, dim: int, p: int):
+def _solve_normal_equations(gram: np.ndarray, dim: int, p: int):
+    P = dim * p
     try:
-        c = cho_factor(A)
-        theta = cho_solve(c, rhs)
+        c = cho_factor(gram[:P, :P])
+        theta = cho_solve(c, gram[:P, P])
     except np.linalg.LinAlgError:
         raise RankError(
             "stacked spline design is rank deficient; reduce the number of knots"
@@ -161,14 +160,8 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray, dim: int, p: int):
 
 def fit_wi(ds: LongitudinalDataset, spec: SplineSpec) -> SplineFit:
     """Ordinary least squares over all observations, ignoring clustering."""
-    P = spec.dim * ds.p
-    A = np.zeros((P, P))
-    rhs = np.zeros(P)
-    for c in ds.clusters:
-        B = _design_rows(spec, c)
-        A += B.T @ B
-        rhs += B.T @ c.y
-    coef = _solve_normal_equations(A, rhs, spec.dim, ds.p)
+    gram = _DesignStats(ds, spec).gram
+    coef = _solve_normal_equations(gram, spec.dim, ds.p)
     return SplineFit(spec=spec, coefficients=coef, mode="wi")
 
 
@@ -194,23 +187,29 @@ def fit_wls(
     """Generalized least squares with block-diagonal cluster weights.
 
     The weight of a cluster is the inverse of Z Sigma Z^T + sigma2 I built
-    from the PSD-projected covariance estimate.  A singular weight is
-    retried once with a small diagonal jitter (recorded on the fit).
+    from the PSD-projected covariance estimate, applied through q x q
+    Woodbury algebra.  When that matrix is singular (sigma2 = 0, or sigma2
+    too small for the Woodbury factor) each cluster's weight is factored
+    densely and a singular one is retried once with a small diagonal jitter
+    (recorded on the fit).
     """
     Sigma = vc.sigma_psd.entries
     sigma2 = vc.sigma2
-    P = spec.dim * ds.p
-    A = np.zeros((P, P))
-    rhs = np.zeros(P)
+    stats = _DesignStats(ds, spec)
     jitter_events: list = []
-    for c in ds.clusters:
-        B = _design_rows(spec, c)
-        factor = _cluster_weight(c, Sigma, sigma2, jitter_events)
-        VB = cho_solve(factor, B)
-        Vy = cho_solve(factor, c.y)
-        A += B.T @ VB
-        rhs += B.T @ Vy
-    coef = _solve_normal_equations(A, rhs, spec.dim, ds.p)
+    gram = None
+    if sigma2 > 0:
+        try:
+            gram, _ = stats.weighted(Sigma, sigma2)
+        except np.linalg.LinAlgError:
+            pass
+    if gram is None:
+        gram = np.zeros_like(stats.gram)
+        for i, c in enumerate(ds.clusters):
+            dy = stats.dy[ds.cluster_slice(i)]
+            factor = _cluster_weight(c, Sigma, sigma2, jitter_events)
+            gram += dy.T @ cho_solve(factor, dy)
+    coef = _solve_normal_equations(gram, spec.dim, ds.p)
     return SplineFit(
         spec=spec,
         coefficients=coef,

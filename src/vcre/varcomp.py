@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LongitudinalDataset
+from .data import LongitudinalDataset, _write_csv
 from .errors import DataValidationError, VcreError
 from .kernels import KernelSpec
 from .smoother import CoefficientCurve, ResidualSet, fit_curve, residuals
@@ -265,18 +265,9 @@ def fit_pipeline(
 
 def write_effects_csv(eff: EffectEstimates, target) -> None:
     """Export effect estimates as CSV keyed by cluster id."""
-    import csv
-
-    stream, owned = (target, False) if hasattr(target, "write") else (
-        open(target, "w", encoding="utf-8", newline=""),
-        True,
+    q = eff.effects.shape[1]
+    _write_csv(
+        target,
+        ["cluster"] + [f"e{k}" for k in range(1, q + 1)],
+        ([cid] + [repr(float(v)) for v in row] for cid, row in zip(eff.cluster_ids, eff.effects)),
     )
-    try:
-        writer = csv.writer(stream)
-        q = eff.effects.shape[1]
-        writer.writerow(["cluster"] + [f"e{k}" for k in range(1, q + 1)])
-        for cid, row in zip(eff.cluster_ids, eff.effects):
-            writer.writerow([cid] + [repr(float(v)) for v in row])
-    finally:
-        if owned:
-            stream.close()

@@ -196,3 +196,32 @@ def test_reml_shrinks_toward_zero_effect_covariance():
         entries.append([abs(S[0, 0]), abs(S[0, 1]), abs(S[1, 1])])
     med = np.median(np.array(entries), axis=0)
     assert np.all(med < 0.2)
+
+
+_V3 = np.array([1.0, -0.5, 0.8])
+# (Sigma, sigma2, relative bound on |woodbury - dense|).  Each bound is about
+# 10x the largest gap measured on these datasets: 1.1e-14, 2.0e-15, 3.1e-15
+# and 1.1e-10 in this order.  At sigma2 = 1e-6 the dense oracle inverts V with
+# condition number ~1e7 and is the less accurate side: against a 50-digit
+# reference on a dataset of this shape the Woodbury value was within 7e-15
+# and the oracle 5e-11 off.
+WOODBURY_CASES = {
+    "q1": ([[0.8]], 0.5, 1e-13),
+    "q3": ([[1.0, 0.3, 0.1], [0.3, 0.8, -0.2], [0.1, -0.2, 0.6]], 0.4, 3e-14),
+    "q3_rank1": (np.outer(_V3, _V3), 0.3, 3e-14),
+    "q2_small_sigma2": ([[1.0, 0.3], [0.3, 0.8]], 1e-6, 1e-9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WOODBURY_CASES))
+def test_negloglik_woodbury_matches_dense_oracle(case):
+    Sigma, sigma2, bound = WOODBURY_CASES[case]
+    Sigma = np.asarray(Sigma, dtype=float)
+    q = Sigma.shape[0]
+    for seed in range(3):
+        ds = random_dataset(seed=50 + seed, m=4, p=2, q=q, n_range=(q + 2, q + 5),
+                            Sigma=np.eye(q) * 0.7, sigma=0.6)
+        spec = spec_for(ds)
+        got = _negloglik(Sigma, sigma2, _Workspace(ds, spec))
+        oracle = dense_restricted_negloglik(ds, spec, Sigma, sigma2)
+        assert abs(got - oracle) <= bound * abs(oracle)
