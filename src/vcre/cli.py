@@ -32,12 +32,6 @@ from .errors import (
     VcreError,
 )
 from .kernels import KernelSpec, bandwidth_rule, kernel_moments
-from .simulate import (
-    ScenarioConfig,
-    default_effect_cov,
-    run_imp_study,
-    run_mse_study,
-)
 from .smoother import write_curve_csv
 from .varcomp import fit_pipeline, write_effects_csv
 
@@ -91,11 +85,16 @@ def _fmt(v):
 
 def _parse_knots(text: str) -> tuple[int, ...]:
     text = text.strip()
-    for sep in (":", ".."):
-        if sep in text:
-            lo, hi = text.split(sep, 1)
-            return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split(","))
+    try:
+        for sep in (":", ".."):
+            if sep in text:
+                lo, hi = text.split(sep, 1)
+                return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise SchemaError(
+            f"--knots: expected LO:HI, LO..HI or comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -195,7 +194,12 @@ def _apply_config_file(parser, subparsers, argv):
                 continue
             action = actions[key]
             if action.type is not None:
-                defaults[key] = action.type(raw)
+                try:
+                    defaults[key] = action.type(raw)
+                except ValueError:
+                    raise SchemaError(
+                        f"config file: {key}={raw!r} is not a valid {action.type.__name__}"
+                    ) from None
             elif isinstance(action.default, bool):
                 defaults[key] = raw.lower() in ("1", "true", "yes")
             else:
@@ -283,6 +287,8 @@ def _require_seed(args) -> bool:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import ScenarioConfig, run_imp_study, run_mse_study
+
     if not _require_seed(args):
         return EXIT_FLAG
     out_dir = Path(args.out_dir)
@@ -336,6 +342,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench_reml(args) -> int:
+    from .simulate import ScenarioConfig, default_effect_cov, run_mse_study
+
     if not _require_seed(args):
         return EXIT_FLAG
     if args.q > 3 and not args.force:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DataValidationError, NumericalError
 
@@ -122,7 +121,7 @@ def kernel_moments(spec: KernelSpec) -> KernelMoments:
         return KernelMoments(*_CLOSED_FORM_MOMENTS[spec.kind])
     import warnings
 
-    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import IntegrationWarning, quad
 
     profile = spec.profile_fn()
     mus = []

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import LongitudinalDataset
 from .errors import DataValidationError, NumericalError, RankError
@@ -78,6 +75,8 @@ def basis_matrix(spec: SplineSpec, us) -> np.ndarray:
         )
     if not us.size:
         return np.zeros((0, spec.dim))
+    from scipy.interpolate import BSpline
+
     return BSpline.design_matrix(us, spec.knots(), spec.degree).toarray()
 
 
@@ -143,6 +142,8 @@ class _DesignStats:
 
 
 def _solve_normal_equations(gram: np.ndarray, dim: int, p: int):
+    from scipy.linalg import cho_factor, cho_solve
+
     P = dim * p
     try:
         c = cho_factor(gram[:P, :P])
@@ -166,6 +167,8 @@ def fit_wi(ds: LongitudinalDataset, spec: SplineSpec) -> SplineFit:
 
 
 def _cluster_weight(c, Sigma: np.ndarray, sigma2: float, jitter_events: list):
+    from scipy.linalg import cho_factor
+
     V = c.Z @ Sigma @ c.Z.T + sigma2 * np.eye(c.n)
     try:
         return cho_factor(V)
@@ -204,6 +207,8 @@ def fit_wls(
         except np.linalg.LinAlgError:
             pass
     if gram is None:
+        from scipy.linalg import cho_solve
+
         gram = np.zeros_like(stats.gram)
         for i, c in enumerate(ds.clusters):
             dy = stats.dy[ds.cluster_slice(i)]
@@ -241,6 +246,8 @@ def mise(estimate, truth, grid) -> float:
     t = on_grid(truth, "truth")
     if e.shape != t.shape:
         raise DataValidationError("estimate and truth shapes differ")
+    from scipy.integrate import trapezoid
+
     return float(trapezoid((e - t) ** 2, grid))
 
 

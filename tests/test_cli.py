@@ -194,3 +194,23 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
                     "--bandwidth", cfg["bandwidth"],
                     "--seed", manifest["seed"], "--out-dir", out2]) == 0
     assert (out1 / "mse_table.csv").read_bytes() == (out2 / "mse_table.csv").read_bytes()
+
+
+def test_malformed_knots_exit_code(tmp_path, capsys):
+    code = run_cli(["simulate", "--scenario", "imp", "--knots", "a:b", "--seed", "1",
+                    "--out-dir", tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "'a:b'" in err
+
+
+def test_malformed_config_value_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("reps=abc\n")
+    code = run_cli(["simulate", "--scenario", "gaussian", "--config", cfg,
+                    "--seed", "1", "--out-dir", tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "reps" in err and "'abc'" in err
