@@ -16,7 +16,7 @@ from .data import LongitudinalDataset
 from .errors import DataValidationError
 from .kernels import KernelMoments, KernelSpec, kernel_moments
 from .smoother import curvature_at_points
-from .symmat import duplication_matrix, vech
+from .symmat import _vech_pairs, vech
 from .varcomp import EffectEstimates, PipelineFit, ProjectionSet, VarianceComponents
 
 
@@ -197,9 +197,12 @@ def effect_cov_inference(
     """Plug-in bias and standard errors for the half-vectorized covariance."""
     ratio = moments.curvature_ratio
     bias = 0.25 * bandwidth**4 * ratio**2 * (vech(B2) - vech(B1) * b)
-    dup = duplication_matrix(proj.q)
     delta = _delta_hat(vc, eff, proj, consts, var_eps_sq)
-    sandwich = dup.pinv @ delta @ dup.pinv.T * consts.c2
+    # D+ delta D+^T with D+ the duplication matrix's pseudo-inverse: D+ averages
+    # the vec positions of (i, j) and (j, i), once on each side.
+    ij, ji = _vech_pairs(proj.q)
+    half = 0.5 * (delta[ij] + delta[ji])
+    sandwich = 0.5 * (half[:, ij] + half[:, ji]) * consts.c2
     sandwich = 0.5 * (sandwich + sandwich.T)
     se = np.sqrt(np.maximum(np.diag(sandwich), 0.0) / consts.n)
     return bias, se

@@ -97,9 +97,17 @@ def _parse_knots(text: str) -> tuple[int, ...]:
         ) from None
 
 
+# spellings of a switch's value in a config file
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _load_config_file(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as e:
+        raise SchemaError(f"config file {path}: {e.strerror}") from None
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -190,20 +198,29 @@ def _apply_config_file(parser, subparsers, argv):
         actions = {a.dest: a for a in sub_parser._actions}
         defaults = {}
         for key, raw in file_values.items():
-            if key not in actions or key == "config":
-                continue
-            action = actions[key]
+            action = actions.get(key)
+            # --config itself, --help and required flags come from the command line only
+            if action is None or action.required or key in ("config", "help"):
+                raise SchemaError(f"config file: unknown key {key!r} for {args.command} "
+                                  "(required flags go on the command line)")
             if action.type is not None:
                 try:
-                    defaults[key] = action.type(raw)
+                    value = action.type(raw)
                 except ValueError:
                     raise SchemaError(
                         f"config file: {key}={raw!r} is not a valid {action.type.__name__}"
                     ) from None
             elif isinstance(action.default, bool):
-                defaults[key] = raw.lower() in ("1", "true", "yes")
+                value = _CONFIG_BOOLS.get(raw.lower())
+                if value is None:
+                    raise SchemaError(f"config file: {key}={raw!r} is not one of "
+                                      f"{', '.join(_CONFIG_BOOLS)}")
             else:
-                defaults[key] = raw
+                value = raw
+            if action.choices is not None and value not in action.choices:
+                raise SchemaError(f"config file: {key}={raw!r} is not one of "
+                                  f"{', '.join(map(str, action.choices))}")
+            defaults[key] = value
         sub_parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
     return args

@@ -18,16 +18,6 @@ import numpy as np
 from .errors import CsvParseError, DataValidationError, SchemaError
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One response with its index variable and covariate vectors."""
-
-    u: float
-    y: float
-    x: tuple[float, ...]
-    z: tuple[float, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Cluster:
     """All observations sharing one cluster label, in source order."""
@@ -55,17 +45,6 @@ class Cluster:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Z", Z)
-
-    @classmethod
-    def from_observations(cls, cluster_id: str, observations) -> "Cluster":
-        obs = list(observations)
-        return cls(
-            id=cluster_id,
-            u=np.array([o.u for o in obs]),
-            y=np.array([o.y for o in obs]),
-            X=np.array([o.x for o in obs]),
-            Z=np.array([o.z for o in obs]),
-        )
 
     @property
     def n(self) -> int:
@@ -189,22 +168,21 @@ def load_dataset(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset
                     f"row {line}: column '{col}': could not parse {raw!r} as a number"
                 ) from None
 
-        groups: dict[str, list[Observation]] = {}
+        # cluster id -> its u, y, x-row and z-row lists, in file order
+        groups: dict[str, tuple[list, list, list, list]] = {}
         for row in reader:
             line = reader.line_num
             cid = row.get(schema.cluster)
             if cid is None or cid == "":
                 raise CsvParseError(f"row {line}: missing cluster id")
-            obs = Observation(
-                u=cell(row, schema.u, line),
-                y=cell(row, schema.y, line),
-                x=tuple(cell(row, c, line) for c in x_cols),
-                z=tuple(cell(row, c, line) for c in z_cols),
-            )
-            groups.setdefault(cid, []).append(obs)
+            u, y, x, z = groups.setdefault(cid, ([], [], [], []))
+            u.append(cell(row, schema.u, line))
+            y.append(cell(row, schema.y, line))
+            x.append([cell(row, c, line) for c in x_cols])
+            z.append([cell(row, c, line) for c in z_cols])
         if not groups:
             raise DataValidationError("empty dataset: no data rows")
-        clusters = tuple(Cluster.from_observations(cid, obs) for cid, obs in groups.items())
+        clusters = tuple(Cluster(cid, *columns) for cid, columns in groups.items())
         return LongitudinalDataset(clusters=clusters, p=len(x_cols), q=len(z_cols))
     finally:
         if owned:

@@ -51,20 +51,13 @@ class SplineSpec:
         )
 
 
-def bspline_basis(spec: SplineSpec, u: float) -> np.ndarray:
-    """Evaluate all basis functions at u.
-
-    The boundary knots are repeated degree+1 times, so the basis is
-    (1, 0, ..., 0) at the left endpoint; the last knot span is treated as
-    closed so the right endpoint evaluates to (0, ..., 0, 1).
-    """
-    return basis_matrix(spec, [u])[0]
-
-
 def basis_matrix(spec: SplineSpec, us) -> np.ndarray:
-    """Basis values for many points at once, shape (len(us), dim).
+    """Basis values at each point of `us`, shape (len(us), dim).
 
-    De Boor's recursion as implemented by `scipy.interpolate.BSpline`.
+    De Boor's recursion as implemented by `scipy.interpolate.BSpline`.  The
+    boundary knots are repeated degree+1 times, so a row is (1, 0, ..., 0) at
+    the left endpoint; the last knot span is closed, so the right endpoint
+    gives (0, ..., 0, 1).
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     lo, hi = spec.interval

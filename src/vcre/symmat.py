@@ -1,4 +1,4 @@
-"""Symmetric-matrix algebra: half-vectorization, duplication matrices, PSD projection."""
+"""Symmetric-matrix algebra: half-vectorization and PSD projection."""
 
 from __future__ import annotations
 
@@ -52,64 +52,21 @@ def _as_symmetric(a) -> np.ndarray:
     return symmetrize(a)
 
 
-def vech(a) -> np.ndarray:
-    """Stack the lower triangle column by column into a q(q+1)/2 vector.
+def _vech_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in vec(A) of (i, j) and of (j, i) for each vech entry of a q x q A.
 
-    Ordering: column 1 rows 1..q, column 2 rows 2..q, and so on, which makes
-    the companion duplication matrix the standard one.
+    The vech order is column 1 rows 1..q, column 2 rows 2..q, and so on;
+    vec stacks columns, so (i, j) sits at j*q + i.  On the diagonal both
+    positions coincide.
     """
+    j, i = np.triu_indices(q)
+    return j * q + i, i * q + j
+
+
+def vech(a) -> np.ndarray:
+    """Stack the lower triangle column by column into a q(q+1)/2 vector."""
     m = _as_symmetric(a)
-    q = m.shape[0]
-    return np.concatenate([m[j:, j] for j in range(q)])
-
-
-def unvech(v, q: int) -> np.ndarray:
-    """Inverse of :func:`vech` for dimension q."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (q * (q + 1) // 2,):
-        raise DataValidationError(f"expected vector of length {q * (q + 1) // 2}")
-    out = np.zeros((q, q))
-    k = 0
-    for j in range(q):
-        for i in range(j, q):
-            out[i, j] = v[k]
-            out[j, i] = v[k]
-            k += 1
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class DuplicationMap:
-    """Zero-one matrix R with vec(A) = R @ vech(A) for every symmetric A."""
-
-    q: int
-    matrix: np.ndarray
-
-    @property
-    def pinv(self) -> np.ndarray:
-        """(R^T R)^{-1} R^T; maps vec of a symmetric matrix back to vech."""
-        r = self.matrix
-        # R^T R is diagonal with entries 1 (diagonal positions) or 2.
-        scale = 1.0 / np.sum(r, axis=0)
-        return scale[:, None] * r.T
-
-
-def duplication_matrix(q: int) -> DuplicationMap:
-    """Build the q^2 x q(q+1)/2 duplication matrix; exactly one 1 per row."""
-    if q < 1:
-        raise DataValidationError(f"dimension must be >= 1, got {q}")
-    half = q * (q + 1) // 2
-    pos = {}
-    k = 0
-    for j in range(q):
-        for i in range(j, q):
-            pos[(i, j)] = k
-            k += 1
-    r = np.zeros((q * q, half))
-    for j in range(q):  # vec stacks columns
-        for i in range(q):
-            r[j * q + i, pos[(max(i, j), min(i, j))]] = 1.0
-    return DuplicationMap(q=q, matrix=r)
+    return m.ravel(order="F")[_vech_pairs(m.shape[0])[0]]
 
 
 def nearest_psd(a) -> np.ndarray:

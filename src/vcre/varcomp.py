@@ -28,8 +28,7 @@ class ClusterProjection:
 
     cluster_id: str
     Z: np.ndarray  # (n_i, q)
-    gram: np.ndarray  # Z^T Z
-    gram_inv: np.ndarray
+    gram_inv: np.ndarray  # (Z^T Z)^{-1}
     hat: np.ndarray  # (n_i, n_i), symmetric idempotent with trace q
     annihilator: np.ndarray  # I - hat
 
@@ -46,10 +45,6 @@ class ProjectionSet:
     projections: tuple[ClusterProjection, ...]
     excluded: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "projections", tuple(self.projections))
-        object.__setattr__(self, "excluded", tuple(self.excluded))
-
     @property
     def m(self) -> int:
         return len(self.projections)
@@ -57,9 +52,6 @@ class ProjectionSet:
     @property
     def n(self) -> int:
         return sum(p.n for p in self.projections)
-
-    def by_id(self) -> dict:
-        return {p.cluster_id: p for p in self.projections}
 
 
 def cluster_projections(
@@ -96,7 +88,6 @@ def cluster_projections(
             ClusterProjection(
                 cluster_id=c.id,
                 Z=c.Z,
-                gram=gram,
                 gram_inv=0.5 * (gram_inv + gram_inv.T),
                 hat=hat,
                 annihilator=np.eye(c.n) - hat,

@@ -16,11 +16,12 @@ from vcre import (
     leverage_constants,
     noise_variance_inference,
     squared_noise_variance,
-    vech,
 )
+from vcre import asymptotics
 from vcre.asymptotics import _delta_hat, effect_cov_inference
 from vcre.errors import DegenerateKernelError
 from vcre.kernels import KernelMoments
+from vcre.symmat import vech
 
 from helpers import dataset_from_arrays, random_dataset
 
@@ -198,6 +199,49 @@ def test_effect_cov_q1_scalar_collapse():
     delta = _delta_hat(fit.variance, fit.effects, fit.projections, consts, veps)
     assert delta.shape == (1, 1)
     assert se[0] == pytest.approx(np.sqrt(delta[0, 0] * consts.c2 / consts.n), rel=1e-12)
+
+
+def dense_duplication_pinv(q):
+    """D+ = (D^T D)^{-1} D^T for the duplication matrix, vec(A) = D vech(A), by index walk."""
+    pos = {}
+    for j in range(q):
+        for i in range(j, q):
+            pos[(i, j)] = len(pos)
+    d = np.zeros((q * q, len(pos)))
+    for j in range(q):  # vec stacks columns
+        for i in range(q):
+            d[j * q + i, pos[(max(i, j), min(i, j))]] = 1.0
+    gram = d.T @ d
+    assert np.array_equal(gram, np.diag(np.diag(gram)))  # so its inverse is exact
+    return (1.0 / np.diag(gram))[:, None] * d.T
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_effect_cov_sandwich_matches_dense_duplication_oracle(q, monkeypatch):
+    # The index-form sandwich must equal D+ delta D+^T bit for bit, for the
+    # fitted delta and for symmetric deltas at scales 1e-8 to 1e8.  The
+    # sandwich reaches the output only through its diagonal, the SEs.
+    ds = random_dataset(seed=15 + q, m=10, q=q, sigma=0.5)
+    kernel = KernelSpec(bandwidth=0.5)
+    fit = fit_pipeline(ds, kernel)
+    consts = leverage_constants(fit.projections)
+    veps = squared_noise_variance(fit.residuals, fit.projections)
+    b, B1, B2 = bias_terms(ds, fit.projections, np.zeros((ds.n, ds.p)))
+    dplus = dense_duplication_pinv(q)
+    rng = np.random.default_rng(q)
+    deltas = [_delta_hat(fit.variance, fit.effects, fit.projections, consts, veps)]
+    for scale in (1e-8, 1.0, 1e8):
+        g = rng.normal(size=(q * q, q * q)) @ rng.normal(size=(q * q, q * q))
+        deltas.append(scale * (g + g.T))
+    for delta in deltas:
+        monkeypatch.setattr(asymptotics, "_delta_hat", lambda *args, d=delta: d)
+        _, se = effect_cov_inference(
+            fit.variance, fit.effects, fit.projections, kernel_moments(kernel), 0.5,
+            b, B1, B2, consts, veps,
+        )
+        s = dplus @ delta @ dplus.T * consts.c2
+        s = 0.5 * (s + s.T)
+        assert np.array_equal(se, np.sqrt(np.maximum(np.diag(s), 0.0) / consts.n))
 
 
 def test_delta_hat_symmetric_and_near_psd():

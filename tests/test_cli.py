@@ -214,3 +214,39 @@ def test_malformed_config_value_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
     assert "reps" in err and "'abc'" in err
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    return err
+
+
+def test_config_unknown_key_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("rep=3\n")
+    code = run_cli(["simulate", "--scenario", "gaussian", "--config", cfg,
+                    "--seed", "1", "--out-dir", tmp_path])
+    assert code == 2
+    assert "'rep'" in one_error_line(capsys)
+    assert not (tmp_path / "mse_table.csv").exists()
+
+
+def test_config_missing_file_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "absent.cfg"
+    code = run_cli(["simulate", "--scenario", "gaussian", "--config", cfg,
+                    "--seed", "1", "--out-dir", tmp_path])
+    assert code == 2
+    assert str(cfg) in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key, value", [("ridge", "ture"), ("kernel", "gauss")])
+def test_config_value_outside_choices_exit_code(tmp_path, demo_csv, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    code = run_cli(["fit", "--data", demo_csv, "--bandwidth", "0.2", "--config", cfg,
+                    "--out-dir", tmp_path / "o"])
+    assert code == 2
+    err = one_error_line(capsys)
+    assert key in err and repr(value) in err
+    assert not (tmp_path / "o" / "curve.csv").exists()

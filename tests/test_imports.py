@@ -56,9 +56,28 @@ def test_fit_command_skips_heavy_scipy(tmp_path):
     assert [m for m in HEAVY_SCIPY if m in mods] == []
 
 
+# Names dropped from the public API, by owning module; tests import them there.
+PRIVATE = {
+    "asymptotics": ("LeverageConstants",),
+    "data": ("ValidationReport",),
+    "neldermead": ("SimplexResult", "nelder_mead"),
+    "reml": ("RemlFit", "RemlParams", "reml_negloglik"),
+    "simulate": ("ImpTable", "MseTable"),
+    "smoother": ("local_linear_fit",),
+    "symmat": ("nearest_psd", "symmetrize", "vech"),
+    "varcomp": ("ClusterProjection", "EffectEstimates", "ProjectionSet"),
+}
+# Names deleted outright along with their code.
+DELETED = {
+    "data": ("Observation",),
+    "splines": ("bspline_basis",),
+    "symmat": ("DuplicationMap", "duplication_matrix", "unvech"),
+}
+
+
 def test_public_names_resolve_to_their_owning_module():
-    assert len(vcre.__all__) == 76
-    assert len(set(vcre.__all__)) == 76
+    assert len(vcre.__all__) == 55
+    assert len(set(vcre.__all__)) == 55
     for module, names in vcre._EXPORTS.items():
         owner = importlib.import_module(f"vcre.{module}")
         for name in names:
@@ -79,3 +98,23 @@ def test_star_import_binds_every_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         vcre.no_such_name  # noqa: B018
+
+
+def test_dropped_names_are_not_public():
+    for table in (PRIVATE, DELETED):
+        for names in table.values():
+            for name in names:
+                assert name not in vcre.__all__, name
+                with pytest.raises(AttributeError, match=name):
+                    getattr(vcre, name)
+
+
+def test_private_names_import_from_their_owning_module():
+    for module, names in PRIVATE.items():
+        owner = importlib.import_module(f"vcre.{module}")
+        for name in names:
+            assert hasattr(owner, name), name
+    for module, names in DELETED.items():
+        owner = importlib.import_module(f"vcre.{module}")
+        for name in names:
+            assert not hasattr(owner, name), name

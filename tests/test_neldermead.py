@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vcre import NumericalError, nelder_mead
+from vcre import NumericalError
+from vcre.neldermead import nelder_mead
 
 
 def test_quadratic_1d():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcre import KernelSpec, RemlParams, SplineSpec, fit_pipeline, fit_reml, reml_negloglik
-from vcre.reml import _Workspace, _negloglik
+from vcre import KernelSpec, SplineSpec, fit_pipeline, fit_reml
+from vcre.reml import RemlParams, _Workspace, _negloglik, reml_negloglik
 from vcre.splines import basis_matrix
 
 from helpers import dataset_from_arrays, random_dataset

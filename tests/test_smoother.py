@@ -11,7 +11,6 @@ from vcre import (
     SingularWindowError,
     fit_curve,
     generate,
-    local_linear_fit,
     residuals,
 )
 from vcre.kernels import tabulated_profile
@@ -21,6 +20,7 @@ from vcre.smoother import (
     _solve_points,
     _Windows,
     curvature_at_points,
+    local_linear_fit,
 )
 
 from helpers import dataset_from_arrays, random_dataset

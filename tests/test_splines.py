@@ -8,7 +8,6 @@ from vcre import (
     NumericalError,
     RankError,
     SplineSpec,
-    bspline_basis,
     fit_wi,
     fit_wls,
     imp,
@@ -57,7 +56,7 @@ def make_vc(Sigma, sigma2):
 def test_basis_dimension():
     spec = SplineSpec(n_interior_knots=8, interval=(0.0, 1.0), degree=3)
     assert spec.dim == 12
-    assert bspline_basis(spec, 0.3).shape == (12,)
+    assert basis_matrix(spec, [0.3])[0].shape == (12,)
 
 
 def test_partition_of_unity():
@@ -65,7 +64,7 @@ def test_partition_of_unity():
     rng = np.random.default_rng(1)
     pts = rng.uniform(0, 1, 1000)
     for u in pts:
-        assert abs(bspline_basis(spec, u).sum() - 1.0) < 1e-12
+        assert abs(basis_matrix(spec, [u])[0].sum() - 1.0) < 1e-12
 
 
 @settings(deadline=None, max_examples=50)
@@ -76,15 +75,15 @@ def test_partition_of_unity():
 )
 def test_partition_of_unity_property(u, k, degree):
     spec = SplineSpec(n_interior_knots=k, interval=(0.0, 1.0), degree=degree)
-    vals = bspline_basis(spec, u)
+    vals = basis_matrix(spec, [u])[0]
     assert abs(vals.sum() - 1.0) < 1e-12
     assert np.all(vals >= -1e-15)
 
 
 def test_clamped_endpoints():
     spec = SplineSpec(n_interior_knots=5, interval=(0.0, 2.0), degree=3)
-    left = bspline_basis(spec, 0.0)
-    right = bspline_basis(spec, 2.0)
+    left = basis_matrix(spec, [0.0])[0]
+    right = basis_matrix(spec, [2.0])[0]
     assert np.array_equal(left, np.eye(spec.dim)[0])
     assert np.array_equal(right, np.eye(spec.dim)[-1])
 
@@ -92,7 +91,7 @@ def test_clamped_endpoints():
 def test_basis_matches_naive_recursion_oracle():
     spec = SplineSpec(n_interior_knots=8, interval=(0.0, 1.0), degree=3)
     knots = spec.knots()
-    got = bspline_basis(spec, 0.37)
+    got = basis_matrix(spec, [0.37])[0]
     oracle = np.array(
         [naive_recursive_basis(0.37, knots, 3, i) for i in range(spec.dim)]
     )
@@ -102,7 +101,7 @@ def test_basis_matches_naive_recursion_oracle():
 def test_basis_outside_interval_rejected():
     spec = SplineSpec(n_interior_knots=3, interval=(0.0, 1.0))
     with pytest.raises(DataValidationError):
-        bspline_basis(spec, 1.5)
+        basis_matrix(spec, [1.5])[0]
 
 
 def test_wi_fits_constant_exactly():

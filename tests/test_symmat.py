@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcre import (
-    DataValidationError,
-    SymMatrix,
-    duplication_matrix,
-    nearest_psd,
-    symmetrize,
-    unvech,
-    vech,
-)
+from vcre import DataValidationError, SymMatrix
+from vcre.symmat import _vech_pairs, nearest_psd, symmetrize, vech
 
 
 def brute_force_vech(a):
@@ -22,6 +15,16 @@ def brute_force_vech(a):
         for i in range(j, q):
             out.append(a[i, j])
     return np.array(out)
+
+
+def duplication_from_pairs(q):
+    """Dense q^2 x q(q+1)/2 zero-one matrix with a 1 at both vec positions of each entry."""
+    ij, ji = _vech_pairs(q)
+    r = np.zeros((q * q, ij.size))
+    cols = np.arange(ij.size)
+    r[ij, cols] = 1.0
+    r[ji, cols] = 1.0
+    return r
 
 
 def random_symmetric(rng, q):
@@ -43,31 +46,21 @@ def test_vech_matches_index_walk():
     assert np.array_equal(vech(a), brute_force_vech(a))
 
 
-def test_unvech_roundtrip():
-    rng = np.random.default_rng(3)
-    a = random_symmetric(rng, 5)
-    assert np.array_equal(unvech(vech(a), 5), a)
-
-
 def test_duplication_q1():
-    assert np.array_equal(duplication_matrix(1).matrix, [[1.0]])
+    ij, ji = _vech_pairs(1)
+    assert np.array_equal(ij, [0]) and np.array_equal(ji, [0])
 
 
 def test_duplication_q2_mapping():
-    r = duplication_matrix(2).matrix
+    r = duplication_from_pairs(2)
     assert np.array_equal(r @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 2.0, 3.0])
 
 
 def test_duplication_one_per_row():
     for q in range(1, 6):
-        r = duplication_matrix(q).matrix
+        r = duplication_from_pairs(q)
         assert np.array_equal(np.sum(r, axis=1), np.ones(q * q))
         assert set(np.unique(r)) <= {0.0, 1.0}
-
-
-def test_duplication_invalid_dim():
-    with pytest.raises(DataValidationError):
-        duplication_matrix(0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -77,14 +70,17 @@ def test_duplication_invalid_dim():
 )
 def test_vec_equals_dup_times_vech(q, seed):
     a = random_symmetric(np.random.default_rng(seed), q)
-    dup = duplication_matrix(q)
-    # one 1 per row makes the product a pure copy, so equality is exact
-    assert np.array_equal(a.ravel(order="F"), dup.matrix @ vech(a))
+    ij, ji = _vech_pairs(q)
+    # both positions of each entry hold the same value, so equality is exact
+    vec = a.ravel(order="F")
+    assert np.array_equal(vec[ij], vech(a))
+    assert np.array_equal(vec[ji], vech(a))
+    assert np.array_equal(vec, duplication_from_pairs(q) @ vech(a))
 
 
 def test_dup_gram_diagonal_entries():
     for q in range(1, 6):
-        r = duplication_matrix(q).matrix
+        r = duplication_from_pairs(q)
         gram = r.T @ r
         assert np.array_equal(gram, np.diag(np.diag(gram)))
         assert set(np.unique(np.diag(gram))) <= {1.0, 2.0}
@@ -94,8 +90,9 @@ def test_dup_pinv_identity():
     rng = np.random.default_rng(9)
     for q in (1, 2, 3):
         a = random_symmetric(rng, q)
-        dup = duplication_matrix(q)
-        assert np.allclose(dup.pinv @ a.ravel(order="F"), vech(a), atol=1e-14)
+        ij, ji = _vech_pairs(q)
+        vec = a.ravel(order="F")
+        assert np.allclose(0.5 * (vec[ij] + vec[ji]), vech(a), atol=1e-14)
 
 
 def test_symmetrize_rejects_asymmetry():
