@@ -36,21 +36,25 @@ class LeverageConstants:
     m: int
 
 
+def _solved_rows(proj: ProjectionSet) -> np.ndarray:
+    """Row j is G_i z_j for the cluster i of eligible row j, shape (n, q)."""
+    return np.einsum("ikj,ij->ik", proj.gram_inv[proj.cluster_of], proj.Z)
+
+
+def _kron_rows(a: np.ndarray) -> np.ndarray:
+    """Row j is kron(a_j, a_j), shape (rows, q^2)."""
+    return (a[:, :, None] * a[:, None, :]).reshape(a.shape[0], -1)
+
+
 def leverage_constants(proj: ProjectionSet) -> LeverageConstants:
-    n, m, q = proj.n, proj.m, proj.q
-    dof = n - q * m
-    if dof <= 0:
-        raise DataValidationError(f"non-positive degrees of freedom n - q*m = {dof}")
+    n, m, q, dof = proj.n, proj.m, proj.q, proj.dof
     c1 = n / dof
     c2 = n / m
-    lev_sq = 0.0
-    for p in proj.projections:
-        lev = np.diag(p.hat)
-        lev_sq += float(np.sum(lev**2))
-    gamma_hat = lev_sq / dof - c1 * q / c2 + 1.0
-    Gamma_hat = np.mean([p.gram_inv for p in proj.projections], axis=0)
+    # the leverage of row j is z_j^T G_i z_j, the diagonal of the cluster's projection
+    lev = np.einsum("ij,ij->i", proj.Z, _solved_rows(proj))
+    gamma_hat = float(lev @ lev) / dof - c1 * q / c2 + 1.0
     return LeverageConstants(
-        gamma_hat=gamma_hat, c1=c1, c2=c2, Gamma_hat=Gamma_hat, n=n, m=m
+        gamma_hat=gamma_hat, c1=c1, c2=c2, Gamma_hat=proj.gram_inv_mean, n=n, m=m
     )
 
 
@@ -84,20 +88,9 @@ def bias_terms(ds: LongitudinalDataset, proj: ProjectionSet, curvature: np.ndarr
         raise DataValidationError(
             f"curvature must have shape {(ds.n, ds.p)}, got {curvature.shape}"
         )
-    eta_all = np.sum(ds.X_all * curvature, axis=1)
-    slices = {c.id: ds.cluster_slice(i) for i, c in enumerate(ds.clusters)}
-    dof = proj.n - proj.q * proj.m
-    b = 0.0
-    B2 = np.zeros((proj.q, proj.q))
-    for p in proj.projections:
-        eta = eta_all[slices[p.cluster_id]]
-        b += float(eta @ (p.annihilator @ eta))
-        v = p.gram_inv @ (p.Z.T @ eta)
-        B2 += np.outer(v, v)
-    b /= dof
-    B1 = np.mean([p.gram_inv for p in proj.projections], axis=0)
-    B2 /= proj.m
-    return b, B1, B2
+    V, eta_perp = proj.regress(np.sum(ds.X_all * curvature, axis=1)[proj.rows])
+    b = float(eta_perp @ eta_perp) / proj.dof
+    return b, proj.gram_inv_mean, V.T @ V / proj.m
 
 
 def squared_noise_variance(res, proj: ProjectionSet) -> float:
@@ -108,13 +101,9 @@ def squared_noise_variance(res, proj: ProjectionSet) -> float:
     normalized by the synthetic degrees of freedom n - q m (biased but
     consistent).
     """
-    rmap = dict(zip(res.cluster_ids, res.residuals))
-    dof = proj.n - proj.q * proj.m
-    sq = []
-    for p in proj.projections:
-        eps_hat = p.annihilator @ rmap[p.cluster_id]
-        sq.append(eps_hat**2)
-    w = np.concatenate(sq)
+    dof = proj.dof
+    _, eps_hat = proj.regress(res.stacked()[proj.rows])
+    w = eps_hat**2
     center = float(np.sum(w)) / dof
     return float(np.sum((w - center) ** 2)) / dof
 
@@ -154,23 +143,18 @@ def _delta_hat(
     S = vc.sigma_raw.entries
     G = consts.Gamma_hat
     m = proj.m
-    ee = eff.effects
-    kron_rows = np.column_stack([np.kron(ee[i], ee[i]) for i in range(m)]).T  # (m, q^2)
+    kron_rows = _kron_rows(eff.effects)
     outer4 = kron_rows.T @ kron_rows / m
     vecS = S.ravel(order="F")
     vecG = G.ravel(order="F")
     D1 = np.vstack(
         [np.kron(S, G[r : r + 1, :]) + np.kron(G, S[r : r + 1, :]) for r in range(q)]
     )
-    D2 = np.zeros((q * q, q * q))
-    for p in proj.projections:
-        vA = p.gram_inv.ravel(order="F")
-        D2 += np.outer(vA, vA)
-    D2 /= m
-    # rows of W are gram_inv @ z_ij over all observations; row j of K is
-    # kron(W_j, W_j), so D3 = sum_j outer(K_j, K_j) / m
-    W = np.vstack([p.Z @ p.gram_inv.T for p in proj.projections])
-    K = (W[:, :, None] * W[:, None, :]).reshape(W.shape[0], q * q)
+    # row i is vec(G_i); G_i is symmetric, so C and F order agree
+    vec_gram_inv = proj.gram_inv.reshape(m, q * q)
+    D2 = vec_gram_inv.T @ vec_gram_inv / m
+    # row j of K is kron(G_i z_j, G_i z_j), so D3 = sum_j outer(K_j, K_j) / m
+    K = _kron_rows(_solved_rows(proj))
     D3 = K.T @ K / m
     s2 = vc.sigma2
     gG = np.outer(vecG, vecG)
@@ -180,6 +164,11 @@ def _delta_hat(
     delta += 2.0 * s2**2 * (D2 - D3 + c_ratio * (1.0 + consts.gamma_hat) * gG)
     delta += var_eps_sq * (D3 + c_ratio * consts.gamma_hat * gG)
     return 0.5 * (delta + delta.T)
+
+
+def _cov_bias(moments: KernelMoments, bandwidth: float, b: float, B1, B2) -> np.ndarray:
+    """Plug-in bias of vech(Sigma_hat): h^4 ratio^2 (vech(B2) - vech(B1) b) / 4."""
+    return 0.25 * bandwidth**4 * moments.curvature_ratio**2 * (vech(B2) - vech(B1) * b)
 
 
 def effect_cov_inference(
@@ -195,8 +184,7 @@ def effect_cov_inference(
     var_eps_sq: float,
 ):
     """Plug-in bias and standard errors for the half-vectorized covariance."""
-    ratio = moments.curvature_ratio
-    bias = 0.25 * bandwidth**4 * ratio**2 * (vech(B2) - vech(B1) * b)
+    bias = _cov_bias(moments, bandwidth, b, B1, B2)
     delta = _delta_hat(vc, eff, proj, consts, var_eps_sq)
     # D+ delta D+^T with D+ the duplication matrix's pseudo-inverse: D+ averages
     # the vec positions of (i, j) and (j, i), once on each side.
@@ -268,8 +256,7 @@ def compute_diagnostics(
             b, B1, B2, consts, var_eps_sq,
         )
     else:
-        ratio = moments.curvature_ratio
-        bias_S = 0.25 * kernel.bandwidth**4 * ratio**2 * (vech(B2) - vech(B1) * b)
+        bias_S = _cov_bias(moments, kernel.bandwidth, b, B1, B2)
         se_S = None
     return AsymptoticDiagnostics(
         moments=moments,

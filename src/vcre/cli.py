@@ -250,11 +250,14 @@ def _cmd_fit(args) -> int:
         print(f"warning: {msg}", file=sys.stderr)
     h = args.bandwidth if args.bandwidth is not None else bandwidth_rule(ds.n, args.bandwidth_rule)
     kernel = KernelSpec(bandwidth=h, kind=args.kernel)
+    grid = None
     if args.eval_mode == "grid":
         grid = np.linspace(float(ds.u_all.min()), float(ds.u_all.max()), args.grid_size)
-        fit = fit_pipeline(ds, kernel, eval_points=grid, ridge=args.ridge, interpolate=True)
-    else:
-        fit = fit_pipeline(ds, kernel, ridge=args.ridge)
+    with warnings.catch_warnings():
+        # the warning lines above already name every cluster left out here
+        warnings.filterwarnings("ignore", "cluster .* excluded from variance estimation")
+        fit = fit_pipeline(ds, kernel, eval_points=grid, ridge=args.ridge,
+                           interpolate=grid is not None)
 
     outputs = []
     curve_path = out_dir / "curve.csv"

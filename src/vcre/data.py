@@ -247,11 +247,24 @@ class ValidationReport:
         return not self.flagged
 
 
+def _z_ranks(ds: LongitudinalDataset) -> np.ndarray:
+    """Rank of every cluster's Z_i, from one matrix_rank call per cluster size.
+
+    matrix_rank sets its tolerance per matrix of a stack, so each rank equals
+    a call on Z_i alone (a test on Z_i^T Z_i would square the condition number).
+    """
+    sizes = np.diff(ds.offsets)
+    ranks = np.empty(ds.m, dtype=int)
+    for size in np.unique(sizes):
+        idx = np.flatnonzero(sizes == size)
+        ranks[idx] = np.linalg.matrix_rank(ds.Z_all[ds.offsets[idx, None] + np.arange(size)])
+    return ranks
+
+
 def validate(ds: LongitudinalDataset) -> ValidationReport:
     """Flag clusters with n_i <= q or a rank-deficient random-effect design."""
     checks = []
-    for c in ds.clusters:
-        rank = int(np.linalg.matrix_rank(c.Z))
+    for c, rank in zip(ds.clusters, _z_ranks(ds).tolist()):
         flags = []
         if c.n <= ds.q:
             flags.append("n_le_q")

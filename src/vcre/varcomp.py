@@ -1,9 +1,12 @@
 """Variance-component estimation from smoother residuals.
 
 Per cluster, the residuals follow a synthetic linear model in the
-random-effect covariates; its least-squares machinery (hat matrix,
-annihilator, per-cluster effect estimates) yields a pooled noise-variance
-estimate and a moment-corrected estimate of the random-effect covariance.
+random-effect covariates.  Its least-squares fit needs only the q x q Gram
+inverse G_i = (Z_i^T Z_i)^{-1}: the effect estimate is G_i Z_i^T r_i and the
+within-cluster residual is r_i - Z_i times it, so no n_i x n_i projection is
+ever formed.  All eligible clusters are handled at once on stacked rows.
+These yield a pooled noise-variance estimate and a moment-corrected estimate
+of the random-effect covariance.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LongitudinalDataset, _write_csv
+from .data import LongitudinalDataset, _write_csv, _z_ranks
 from .errors import DataValidationError, VcreError
 from .kernels import KernelSpec
 from .smoother import CoefficientCurve, ResidualSet, fit_curve, residuals
@@ -23,103 +26,106 @@ CORRELATION_VARIANCE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class ClusterProjection:
-    """Least-squares machinery of one cluster's random-effect design."""
+class ProjectionSet:
+    """Stacked least-squares machinery of the clusters eligible for variance estimation.
 
-    cluster_id: str
-    Z: np.ndarray  # (n_i, q)
-    gram_inv: np.ndarray  # (Z^T Z)^{-1}
-    hat: np.ndarray  # (n_i, n_i), symmetric idempotent with trace q
-    annihilator: np.ndarray  # I - hat
+    Eligible clusters keep their dataset order; `starts` indexes the first of
+    each cluster's rows in `Z` and `cluster_of` maps each row to its cluster.
+    """
+
+    q: int
+    cluster_ids: tuple[str, ...]
+    excluded: tuple[str, ...]
+    rows: np.ndarray  # (dataset n,) bool: the dataset rows of eligible clusters
+    Z: np.ndarray  # (n, q) eligible rows
+    starts: np.ndarray  # (m,)
+    cluster_of: np.ndarray  # (n,)
+    gram_inv: np.ndarray  # (m, q, q), (Z_i^T Z_i)^{-1}
+    gram_inv_mean: np.ndarray  # (q, q), the average Gram inverse
+
+    @property
+    def m(self) -> int:
+        return len(self.cluster_ids)
 
     @property
     def n(self) -> int:
         return self.Z.shape[0]
 
-
-@dataclass(frozen=True, eq=False)
-class ProjectionSet:
-    """Projections for the clusters eligible for variance estimation."""
-
-    q: int
-    projections: tuple[ClusterProjection, ...]
-    excluded: tuple[str, ...]
-
     @property
-    def m(self) -> int:
-        return len(self.projections)
+    def dof(self) -> int:
+        """Synthetic degrees of freedom n - q m; raises when not positive."""
+        dof = self.n - self.q * self.m
+        if dof <= 0:
+            raise DataValidationError(
+                f"non-positive degrees of freedom n - q*m = {dof}; need more observations"
+            )
+        return dof
 
-    @property
-    def n(self) -> int:
-        return sum(p.n for p in self.projections)
+    def regress(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least squares of the eligible rows v on Z_i, cluster by cluster.
+
+        Returns the coefficients G_i Z_i^T v_i, shape (m, q), and the
+        residuals (I - P) v = v - Z_i G_i Z_i^T v_i, shape (n,).
+        """
+        cross = np.add.reduceat(self.Z * v[:, None], self.starts, axis=0)
+        coef = np.einsum("ijk,ik->ij", self.gram_inv, cross)
+        return coef, v - np.einsum("ij,ij->i", self.Z, coef[self.cluster_of])
 
 
 def cluster_projections(
     ds: LongitudinalDataset, skip_infeasible: bool = False
 ) -> ProjectionSet:
-    """Build per-cluster Gram inverses, hat matrices and annihilators.
+    """Build the stacked Gram inverses of the clusters eligible for variance estimation.
 
     Clusters with n_i <= q or rank-deficient Z_i cannot support the synthetic
     regression; by default they raise, with skip_infeasible=True they are
     excluded with a warning (they still participate in curve fitting).
     """
-    projections = []
-    excluded = []
-    for c in ds.clusters:
-        reason = None
-        if c.n <= ds.q:
-            reason = f"n_i={c.n} <= q={ds.q}"
-        elif np.linalg.matrix_rank(c.Z) < ds.q:
-            reason = "rank-deficient random-effect design"
-        if reason is not None:
-            if not skip_infeasible:
-                raise DataValidationError(f"cluster {c.id}: {reason}")
-            warnings.warn(
-                f"cluster {c.id}: {reason}; excluded from variance estimation",
-                stacklevel=2,
-            )
-            excluded.append(c.id)
-            continue
-        gram = c.Z.T @ c.Z
-        gram_inv = np.linalg.inv(gram)
-        hat = c.Z @ gram_inv @ c.Z.T
-        hat = 0.5 * (hat + hat.T)
-        projections.append(
-            ClusterProjection(
-                cluster_id=c.id,
-                Z=c.Z,
-                gram_inv=0.5 * (gram_inv + gram_inv.T),
-                hat=hat,
-                annihilator=np.eye(c.n) - hat,
-            )
+    q = ds.q
+    sizes = np.diff(ds.offsets)
+    ranks = _z_ranks(ds)
+    feasible = (sizes > q) & (ranks >= q)
+    for i in np.flatnonzero(~feasible):
+        c = ds.clusters[i]
+        reason = f"n_i={c.n} <= q={q}" if c.n <= q else "rank-deficient random-effect design"
+        if not skip_infeasible:
+            raise DataValidationError(f"cluster {c.id}: {reason}")
+        warnings.warn(
+            f"cluster {c.id}: {reason}; excluded from variance estimation", stacklevel=2
         )
-    if not projections:
+    if not feasible.any():
         raise DataValidationError("no cluster is eligible for variance estimation")
-    return ProjectionSet(q=ds.q, projections=tuple(projections), excluded=tuple(excluded))
-
-
-def _residual_map(res: ResidualSet) -> dict:
-    return dict(zip(res.cluster_ids, res.residuals))
+    rows = np.repeat(feasible, sizes)
+    Z = ds.Z_all[rows]
+    kept = sizes[feasible]
+    starts = np.cumsum(kept) - kept
+    gram = np.add.reduceat(Z[:, :, None] * Z[:, None, :], starts, axis=0)
+    gram_inv = np.linalg.inv(gram)
+    gram_inv = 0.5 * (gram_inv + gram_inv.transpose(0, 2, 1))
+    gram_inv_mean = np.mean(gram_inv, axis=0)
+    gram_inv_mean.flags.writeable = False  # also handed out as B1 and Gamma_hat
+    ids = np.array([c.id for c in ds.clusters], dtype=object)
+    return ProjectionSet(
+        q=q,
+        cluster_ids=tuple(ids[feasible]),
+        excluded=tuple(ids[~feasible]),
+        rows=rows,
+        Z=Z,
+        starts=starts,
+        cluster_of=np.repeat(np.arange(kept.size), kept),
+        gram_inv=gram_inv,
+        gram_inv_mean=gram_inv_mean,
+    )
 
 
 def estimate_noise_variance(res: ResidualSet, proj: ProjectionSet) -> float:
     """Pooled residual-sum-of-squares estimate of the noise variance.
 
-    Sums r^T (I - P) r over eligible clusters and divides by the synthetic
-    degrees of freedom n - q m (counting eligible clusters only).
+    Sums |(I - P) r|^2 = r^T (I - P) r over eligible clusters and divides by
+    the synthetic degrees of freedom n - q m (counting eligible clusters only).
     """
-    dof = proj.n - proj.q * proj.m
-    if dof <= 0:
-        raise DataValidationError(
-            f"non-positive degrees of freedom n - q*m = {dof}; need more observations"
-        )
-    rmap = _residual_map(res)
-    total = 0.0
-    for p in proj.projections:
-        r = rmap[p.cluster_id]
-        total += float(r @ (p.annihilator @ r))
-    # a sum of PSD quadratic forms: negative only through rounding
-    return total / dof
+    _, eps = proj.regress(res.stacked()[proj.rows])
+    return float(eps @ eps) / proj.dof
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,14 +138,8 @@ class EffectEstimates:
 
 def estimate_effects(res: ResidualSet, proj: ProjectionSet) -> EffectEstimates:
     """Least-squares effect estimate (Z^T Z)^{-1} Z^T r per eligible cluster."""
-    rmap = _residual_map(res)
-    ids = []
-    effects = np.empty((proj.m, proj.q))
-    for i, p in enumerate(proj.projections):
-        r = rmap[p.cluster_id]
-        effects[i] = p.gram_inv @ (p.Z.T @ r)
-        ids.append(p.cluster_id)
-    return EffectEstimates(cluster_ids=tuple(ids), effects=effects)
+    effects, _ = proj.regress(res.stacked()[proj.rows])
+    return EffectEstimates(cluster_ids=proj.cluster_ids, effects=effects)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +200,7 @@ def estimate_effect_covariance(
     if m < 2:
         raise DataValidationError(f"need at least 2 eligible clusters, got {m}")
     moment = eff.effects.T @ eff.effects / m
-    correction = sigma2 * np.mean([p.gram_inv for p in proj.projections], axis=0)
+    correction = sigma2 * proj.gram_inv_mean
     raw = moment - correction
     raw = 0.5 * (raw + raw.T)
     psd = nearest_psd(raw)

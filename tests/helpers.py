@@ -58,3 +58,9 @@ def random_dataset(
         y = np.sum(X * a_vals, axis=1) + Z @ e + eps
         clusters.append(Cluster(id=f"t{i}", u=u, y=y, X=X, Z=Z))
     return LongitudinalDataset(clusters=tuple(clusters), p=p, q=q)
+
+
+def dense_hats(proj):
+    """Each eligible cluster's n_i x n_i projection Z_i G_i Z_i^T, from the stacked arrays."""
+    blocks = np.split(proj.Z, proj.starts[1:])
+    return [Z @ G @ Z.T for Z, G in zip(blocks, proj.gram_inv)]

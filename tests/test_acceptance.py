@@ -31,7 +31,7 @@ from vcre.splines import basis_matrix
 from vcre.symmat import SymMatrix, _vech_pairs, vech
 from vcre.varcomp import VarianceComponents
 
-from helpers import dataset_from_arrays, random_dataset
+from helpers import dataset_from_arrays, dense_hats, random_dataset
 
 SEED_GAUSSIAN = 110
 SEED_BENCH = 120
@@ -291,10 +291,12 @@ def test_criterion_7_invariants(tmp_path):
 
     # projection idempotency and traces
     ds = random_dataset(seed=71, m=6, q=2, n_range=(4, 9))
-    for p in cluster_projections(ds).projections:
-        if np.max(np.abs(p.hat @ p.hat - p.hat)) > 1e-10:
+    for hat in dense_hats(cluster_projections(ds)):
+        annihilator = np.eye(hat.shape[0]) - hat
+        if np.max(np.abs(hat @ hat - hat)) > 1e-10:
             failures.append("projection idempotency")
-        if abs(np.trace(p.hat) - 2.0) > 1e-8 or abs(np.trace(p.annihilator) - (p.n - 2.0)) > 1e-8:
+        if (abs(np.trace(hat) - 2.0) > 1e-8
+                or abs(np.trace(annihilator) - (hat.shape[0] - 2.0)) > 1e-8):
             failures.append("projection traces")
 
     # duplication identities for q in 1..5: vech(A) placed at both vec

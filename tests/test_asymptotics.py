@@ -81,7 +81,7 @@ def test_bias_terms_vanish_for_zero_curvature():
     b, B1, B2 = bias_terms(ds, proj, np.zeros((ds.n, ds.p)))
     assert b == 0.0
     assert np.array_equal(B2, np.zeros((2, 2)))
-    assert np.allclose(B1, np.mean([p.gram_inv for p in proj.projections], axis=0))
+    assert np.allclose(B1, np.mean([np.linalg.inv(c.Z.T @ c.Z) for c in ds.clusters], axis=0))
 
 
 def test_bias_terms_intercept_hand_algebra():
@@ -325,3 +325,87 @@ def test_sandwich_se_coverage():
     coverage = hits / reps
     assert np.all(coverage >= 0.85)
     assert np.all(coverage <= 0.99)
+
+
+def dense_oracle(ds, fit, curvature):
+    """The closed-form quantities from explicit per-cluster n_i x n_i projections."""
+    q = ds.q
+    rmap = dict(zip(fit.residuals.cluster_ids, fit.residuals.residuals))
+    eta_all = np.sum(ds.X_all * curvature, axis=1)
+    rss = lev_sq = b = 0.0
+    B2 = np.zeros((q, q))
+    eps, effects, gram_invs, solved = [], [], [], []
+    for i, c in enumerate(ds.clusters):
+        if c.n <= q:
+            continue
+        gi = np.linalg.inv(c.Z.T @ c.Z)
+        hat = c.Z @ gi @ c.Z.T
+        annihilator = np.eye(c.n) - hat
+        r = rmap[c.id]
+        eta = eta_all[ds.cluster_slice(i)]
+        rss += r @ annihilator @ r
+        eps.append(annihilator @ r)
+        effects.append(gi @ c.Z.T @ r)
+        gram_invs.append(gi)
+        solved += [gi @ z for z in c.Z]
+        lev_sq += np.sum(np.diag(hat) ** 2)
+        b += eta @ annihilator @ eta
+        v = gi @ c.Z.T @ eta
+        B2 += np.outer(v, v)
+    m = len(gram_invs)
+    n = sum(e.size for e in eps)
+    dof = n - q * m
+    sigma2 = rss / dof
+    E = np.array(effects)
+    G = np.mean(gram_invs, axis=0)
+    S = E.T @ E / m - sigma2 * G
+    S = 0.5 * (S + S.T)
+    w = np.concatenate(eps) ** 2
+    var_eps_sq = np.sum((w - np.sum(w) / dof) ** 2) / dof
+    c1, c2 = n / dof, n / m
+    gamma = lev_sq / dof - c1 * q / c2 + 1.0
+    outer4 = sum(np.outer(np.kron(e, e), np.kron(e, e)) for e in E) / m
+    D1 = np.vstack([np.kron(S, G[r : r + 1, :]) + np.kron(G, S[r : r + 1, :])
+                    for r in range(q)])
+    D2 = sum(np.outer(g.ravel(order="F"), g.ravel(order="F")) for g in gram_invs) / m
+    D3 = sum(np.outer(np.kron(x, x), np.kron(x, x)) for x in solved) / m
+    vecS, vecG = S.ravel(order="F"), G.ravel(order="F")
+    gG = np.outer(vecG, vecG)
+    delta = outer4 - np.outer(vecS, vecS)
+    delta += sigma2 * (np.kron(S, G) + np.kron(G, S) + D1)
+    delta += 2.0 * sigma2**2 * (D2 - D3 + c1 / c2 * (1.0 + gamma) * gG)
+    delta += var_eps_sq * (D3 + c1 / c2 * gamma * gG)
+    return {
+        "sigma2": sigma2, "effects": E, "Sigma": S, "gamma_hat": gamma, "b": b / dof,
+        "B2": B2 / m, "var_eps_sq": var_eps_sq, "delta": 0.5 * (delta + delta.T),
+    }
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_stacked_layer_matches_dense_projection_oracle(q):
+    # The stacked q x q algebra against explicit hat and annihilator matrices,
+    # with one cluster (n_i = q) excluded.  Only the summation order differs,
+    # so every quantity agrees to 1e-12 of its largest entry.
+    base = random_dataset(seed=30 + q, m=12, q=q, n_range=(q + 1, q + 6),
+                          Sigma=np.eye(q), sigma=0.6)
+    rng = np.random.default_rng(q)
+    tiny = type(base.clusters[0])(id="tiny", u=rng.random(q), y=rng.normal(size=q),
+                                  X=rng.normal(size=(q, 2)), Z=rng.normal(size=(q, q)))
+    ds = type(base)(clusters=base.clusters + (tiny,), p=2, q=q)
+    with pytest.warns(UserWarning, match="tiny"):
+        fit = fit_pipeline(ds, KernelSpec(bandwidth=0.5))
+    curvature = rng.normal(size=(ds.n, ds.p))
+    want = dense_oracle(ds, fit, curvature)
+    consts = leverage_constants(fit.projections)
+    veps = squared_noise_variance(fit.residuals, fit.projections)
+    b, _, B2 = bias_terms(ds, fit.projections, curvature)
+    got = {
+        "sigma2": fit.variance.sigma2, "effects": fit.effects.effects,
+        "Sigma": fit.variance.sigma_raw.entries, "gamma_hat": consts.gamma_hat, "b": b,
+        "B2": B2, "var_eps_sq": veps,
+        "delta": _delta_hat(fit.variance, fit.effects, fit.projections, consts, veps),
+    }
+    assert fit.projections.excluded == ("tiny",)
+    for key, value in want.items():
+        err = np.max(np.abs(np.asarray(got[key]) - value))
+        assert err <= 1e-12 * np.max(np.abs(value)), key

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vcre
 from vcre import ScenarioConfig, generate, write_dataset
 from vcre.cli import main
+
+SRC = str(Path(vcre.__file__).resolve().parent.parent)
 
 
 @pytest.fixture()
@@ -83,6 +90,43 @@ def test_fit_strict_validation_exit_code(tmp_path, capsys):
                     "--out-dir", tmp_path])
     assert code == 3
     assert "tiny" in capsys.readouterr().err
+
+
+def clusters_csv(path, sizes):
+    """Write a q = 2 dataset with one cluster c<i> of each given size."""
+    rng = np.random.default_rng(0)
+    lines = ["cluster,u,y,x1,z1,z2"]
+    for i, size in enumerate(sizes):
+        for _ in range(size):
+            lines.append(f"c{i},{rng.uniform(0, 1)},{rng.normal()},{rng.normal()},"
+                         f"{rng.normal()},{rng.normal()}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_fit_reports_each_infeasible_cluster_once(tmp_path):
+    # a fresh process, so that Python's own warning display is what a user sees
+    data = clusters_csv(tmp_path / "d.csv", [2] + [7] * 8)  # c0: n_i = 2 <= q = 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "vcre.cli", "fit", "--data", str(data), "--bandwidth", "0.4",
+         "--skip-diagnostics", "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == ["warning: cluster c0: n_le_q"]
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ([2] * 30, "no cluster is eligible"),
+    ([7] + [2] * 30, "need at least 2"),
+])
+def test_fit_too_few_eligible_clusters_exit_code(tmp_path, capsys, sizes, message):
+    data = clusters_csv(tmp_path / "d.csv", sizes)
+    code = run_cli(["fit", "--data", data, "--bandwidth", "0.4", "--out-dir", tmp_path])
+    assert code == 3
+    assert message in capsys.readouterr().err
 
 
 def test_fit_grid_eval_mode(tmp_path, demo_csv):

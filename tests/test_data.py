@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcre import (
     CsvParseError,
@@ -12,8 +14,9 @@ from vcre import (
     validate,
     write_dataset,
 )
+from vcre.data import _z_ranks
 
-from helpers import random_dataset
+from helpers import dataset_from_arrays, random_dataset
 
 SMALL = """cluster,u,y,x1,z1
 a,0.1,1.0,1.0,1.0
@@ -112,8 +115,6 @@ def test_non_finite_rejected():
 def test_validate_flags_small_cluster():
     rows = [("a", 0.1 * j, 1.0, [1.0, 0.0], [1.0, float(j)]) for j in range(2)]
     rows += [("b", 0.1 * j, 1.0, [1.0, 0.0], [1.0, float(j) + 0.5]) for j in range(5)]
-    from helpers import dataset_from_arrays
-
     ds = dataset_from_arrays(rows, p=2, q=2)
     report = validate(ds)
     flagged = {c.cluster_id: c.flags for c in report.flagged}
@@ -124,8 +125,6 @@ def test_validate_flags_small_cluster():
 def test_validate_flags_rank_deficiency():
     # all z rows identical: rank 1 < q = 2
     rows = [("a", 0.1 * j, 1.0, [1.0], [1.0, 2.0]) for j in range(5)]
-    from helpers import dataset_from_arrays
-
     ds = dataset_from_arrays(rows, p=1, q=2)
     report = validate(ds)
     assert report.checks[0].z_rank == 1
@@ -137,3 +136,27 @@ def test_validate_clean_dataset():
     report = validate(ds)
     assert report.ok
     assert report.flagged == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 3),
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+    exponents=st.lists(st.floats(0.0, 20.0), min_size=12, max_size=12),
+)
+def test_stacked_z_ranks_match_per_cluster_matrix_rank(seed, q, sizes, exponents):
+    # near-collinear Z_i: every column after the first is a multiple of the
+    # first plus a perturbation of size 10^-exponent, from well separated to
+    # below rounding; equal sizes share one stacked matrix_rank call
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i, (n_i, e) in enumerate(zip(sizes, exponents)):
+        base = rng.normal(size=(n_i, 1))
+        z = base * rng.normal(size=q) + 10.0**-e * rng.normal(size=(n_i, q))
+        z[:, 0] = base[:, 0]
+        rows += [(f"c{i}", 0.1 * j, 1.0, [1.0], z[j]) for j in range(n_i)]
+    ds = dataset_from_arrays(rows, p=1, q=q)
+    per_cluster = [int(np.linalg.matrix_rank(c.Z)) for c in ds.clusters]
+    assert _z_ranks(ds).tolist() == per_cluster
+    assert [c.z_rank for c in validate(ds).checks] == per_cluster

@@ -65,13 +65,14 @@ PRIVATE = {
     "simulate": ("ImpTable", "MseTable"),
     "smoother": ("local_linear_fit",),
     "symmat": ("nearest_psd", "symmetrize", "vech"),
-    "varcomp": ("ClusterProjection", "EffectEstimates", "ProjectionSet"),
+    "varcomp": ("EffectEstimates", "ProjectionSet"),
 }
 # Names deleted outright along with their code.
 DELETED = {
     "data": ("Observation",),
     "splines": ("bspline_basis",),
     "symmat": ("DuplicationMap", "duplication_matrix", "unvech"),
+    "varcomp": ("ClusterProjection",),
 }
 
 

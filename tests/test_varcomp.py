@@ -12,7 +12,7 @@ from vcre import (
     fit_pipeline,
 )
 
-from helpers import dataset_from_arrays, random_dataset
+from helpers import dataset_from_arrays, dense_hats, random_dataset
 
 
 def residual_set(ds, vectors):
@@ -26,18 +26,18 @@ def test_mean_projection():
     rows += [("b", 0.1 * j, 1.0, [1.0], [1.0, ]) for j in range(3)]
     ds = dataset_from_arrays(rows, p=1, q=1)
     proj = cluster_projections(ds)
-    assert np.allclose(proj.projections[0].hat, np.full((4, 4), 0.25), atol=1e-12)
+    assert np.allclose(dense_hats(proj)[0], np.full((4, 4), 0.25), atol=1e-12)
 
 
 def test_projection_idempotency_and_traces():
     ds = random_dataset(seed=1, m=6, q=2, n_range=(4, 9))
     proj = cluster_projections(ds)
-    for p in proj.projections:
-        P, Q = p.hat, p.annihilator
+    for P in dense_hats(proj):
+        Q = np.eye(P.shape[0]) - P
         assert np.max(np.abs(P @ P - P)) < 1e-10
         assert np.max(np.abs(Q @ Q - Q)) < 1e-10
         assert np.trace(P) == pytest.approx(2.0, abs=1e-8)
-        assert np.trace(Q) == pytest.approx(p.n - 2.0, abs=1e-8)
+        assert np.trace(Q) == pytest.approx(P.shape[0] - 2.0, abs=1e-8)
 
 
 def test_projection_orthonormal_columns():
@@ -45,7 +45,7 @@ def test_projection_orthonormal_columns():
     rows = [("a", 0.1 * j, 1.0, [1.0], z[j]) for j in range(3)]
     ds = dataset_from_arrays(rows, p=1, q=2)
     proj = cluster_projections(ds)
-    assert np.allclose(proj.projections[0].hat, z @ z.T, atol=1e-10)
+    assert np.allclose(dense_hats(proj)[0], z @ z.T, atol=1e-10)
 
 
 def test_projection_errors_name_cluster():
