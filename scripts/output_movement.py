@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Report how far each closed-form output moves between two source trees.
+"""Report how far each closed-form and spline output moves between two trees.
 
 Usage: python3 scripts/output_movement.py OLD_SRC NEW_SRC
 
@@ -8,10 +8,14 @@ OLD_SRC and NEW_SRC are directories that hold a `vcre` package, such as the
 that fits a fixed set of cases with `fit_pipeline` and `compute_diagnostics`:
 the three simulation scenarios at q = 1, 2 and 3 (m = 100, h = 0.15), each
 with one extra cluster of n_i = q rows that is excluded from variance
-estimation.  For every output field the script prints its largest movement
-over the cases, max |new - old| / max |old| within a case (absolute where the
-old field is all zero).  It exits 1 if any field moves by more than 1e-12,
-changes shape or changes where it is NaN, and 0 otherwise.
+estimation.  Each case also fits the WI and WLS splines (9 interior knots,
+WLS weighted by the case's variance components), and at each q one
+`run_imp_study` (gaussian, m = 100, 2 replications, knots 7-15) gives the
+imp, mise_wi and mise_wls fields.  For every output field the script prints
+its largest movement over the cases, max |new - old| / max |old| within a
+case (absolute where the old field is all zero).  It exits 1 if any field
+moves by more than 1e-12, changes shape or changes where it is NaN, and 0
+otherwise.
 """
 
 import json
@@ -26,8 +30,14 @@ BOUND = 1e-12
 CASES = r"""
 import json, warnings
 import numpy as np
-from vcre import (Cluster, LongitudinalDataset, ScenarioConfig, compute_diagnostics,
-                  fit_pipeline, generate)
+from vcre import (Cluster, LongitudinalDataset, ScenarioConfig, SplineSpec,
+                  compute_diagnostics, fit_pipeline, fit_wi, fit_wls, generate,
+                  run_imp_study)
+
+def as_lists(fields):
+    return {k: np.asarray(v, dtype=float).tolist() for k, v in fields.items()}
+
+spec = SplineSpec(n_interior_knots=9, interval=(0.0, 1.0))
 
 out = {}
 for scenario in ("gaussian", "uniform_noise", "misspecified"):
@@ -45,6 +55,8 @@ for scenario in ("gaussian", "uniform_noise", "misspecified"):
         diag = compute_diagnostics(ds, cfg.kernel, fit)
         vc = fit.variance
         fields = {
+            "wi": fit_wi(ds, spec).coefficients,
+            "wls": fit_wls(ds, spec, vc).coefficients,
             "curve.values": fit.curve.values,
             "residuals": fit.residuals.stacked(),
             "sigma2": vc.sigma2,
@@ -57,9 +69,14 @@ for scenario in ("gaussian", "uniform_noise", "misspecified"):
         for key, value in diag.to_report().items():
             if key != "mu":
                 fields[key] = value
-        out[f"{scenario}/q={q}"] = {
-            k: np.asarray(v, dtype=float).tolist() for k, v in fields.items()
-        }
+        out[f"{scenario}/q={q}"] = as_lists(fields)
+for q in (1, 2, 3):
+    cfg = ScenarioConfig(scenario="gaussian", m=100, seed=20 + q,
+                         Sigma=0.5 * (np.eye(q) + np.ones((q, q))))
+    table = run_imp_study(cfg, range(7, 16), replications=2)
+    out[f"imp/q={q}"] = as_lists(
+        {"imp": table.imp, "mise_wi": table.mise_wi, "mise_wls": table.mise_wls}
+    )
 print(json.dumps(out))
 """
 

@@ -166,11 +166,6 @@ def _delta_hat(
     return 0.5 * (delta + delta.T)
 
 
-def _cov_bias(moments: KernelMoments, bandwidth: float, b: float, B1, B2) -> np.ndarray:
-    """Plug-in bias of vech(Sigma_hat): h^4 ratio^2 (vech(B2) - vech(B1) b) / 4."""
-    return 0.25 * bandwidth**4 * moments.curvature_ratio**2 * (vech(B2) - vech(B1) * b)
-
-
 def effect_cov_inference(
     vc: VarianceComponents,
     eff: EffectEstimates,
@@ -183,8 +178,11 @@ def effect_cov_inference(
     consts: LeverageConstants,
     var_eps_sq: float,
 ):
-    """Plug-in bias and standard errors for the half-vectorized covariance."""
-    bias = _cov_bias(moments, bandwidth, b, B1, B2)
+    """Plug-in bias and standard errors for the half-vectorized covariance.
+
+    The bias is h^4 ratio^2 (vech(B2) - vech(B1) b) / 4.
+    """
+    bias = 0.25 * bandwidth**4 * moments.curvature_ratio**2 * (vech(B2) - vech(B1) * b)
     delta = _delta_hat(vc, eff, proj, consts, var_eps_sq)
     # D+ delta D+^T with D+ the duplication matrix's pseudo-inverse: D+ averages
     # the vec positions of (i, j) and (j, i), once on each side.
@@ -211,7 +209,7 @@ class AsymptoticDiagnostics:
     bias_sigma2: float
     se_sigma2: float
     bias_Sigma: np.ndarray
-    se_Sigma: Optional[np.ndarray]
+    se_Sigma: np.ndarray
 
     def to_report(self) -> dict:
         return {
@@ -225,7 +223,7 @@ class AsymptoticDiagnostics:
             "bias_sigma2": self.bias_sigma2,
             "se_sigma2": self.se_sigma2,
             "bias_Sigma": self.bias_Sigma.tolist(),
-            "se_Sigma": None if self.se_Sigma is None else self.se_Sigma.tolist(),
+            "se_Sigma": self.se_Sigma.tolist(),
         }
 
 
@@ -234,7 +232,6 @@ def compute_diagnostics(
     kernel: KernelSpec,
     fit: PipelineFit,
     curvature: Optional[np.ndarray] = None,
-    with_cov_se: bool = True,
 ) -> AsymptoticDiagnostics:
     """Assemble the full diagnostics block for a fitted pipeline.
 
@@ -250,14 +247,10 @@ def compute_diagnostics(
     bias_s2, se_s2 = noise_variance_inference(
         fit.variance, moments, kernel.bandwidth, b, consts, var_eps_sq
     )
-    if with_cov_se:
-        bias_S, se_S = effect_cov_inference(
-            fit.variance, fit.effects, fit.projections, moments, kernel.bandwidth,
-            b, B1, B2, consts, var_eps_sq,
-        )
-    else:
-        bias_S = _cov_bias(moments, kernel.bandwidth, b, B1, B2)
-        se_S = None
+    bias_S, se_S = effect_cov_inference(
+        fit.variance, fit.effects, fit.projections, moments, kernel.bandwidth,
+        b, B1, B2, consts, var_eps_sq,
+    )
     return AsymptoticDiagnostics(
         moments=moments,
         b=b,

@@ -37,6 +37,12 @@ class SplineSpec:
             raise DataValidationError("spline degree must be at least 1")
         if self.n_interior_knots < 0:
             raise DataValidationError("interior knot count must be non-negative")
+        # zero-width knot spans would divide by zero in `basis_matrix`
+        if np.any(np.diff(self.knots()[self.degree : -self.degree]) <= 0):
+            raise DataValidationError(
+                f"interval {self.interval} is too narrow for "
+                f"{self.n_interior_knots} distinct interior knots"
+            )
 
     @property
     def dim(self) -> int:
@@ -54,10 +60,17 @@ class SplineSpec:
 def basis_matrix(spec: SplineSpec, us) -> np.ndarray:
     """Basis values at each point of `us`, shape (len(us), dim).
 
-    De Boor's recursion as implemented by `scipy.interpolate.BSpline`.  The
-    boundary knots are repeated degree+1 times, so a row is (1, 0, ..., 0) at
-    the left endpoint; the last knot span is closed, so the right endpoint
-    gives (0, ..., 0, 1).
+    De Boor's recursion, run over all points at once in the order of
+    fitpack's `fpbspl`.  Each point u falls in the knot span t[l] <= u <
+    t[l+1], with l clipped to [degree, dim - 1] so that the right endpoint
+    closes the last span.  Starting from B_l = 1, round j = 1..degree turns
+    the j values of degree j - 1 into j + 1 values of degree j: with
+    w_n = B_(l-j+n) / (t[l+n] - t[l+n-j]) for n = 1..j, value n gains
+    w_n (u - t[l+n-j]) and value n - 1 gains w_n (t[l+n] - u).  The last
+    round's values are the nonzero basis functions l - degree .. l, scattered
+    into the dense row.  The boundary knots are repeated degree+1 times, so a
+    row is (1, 0, ..., 0) at the left endpoint and (0, ..., 0, 1) at the
+    right one.
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     lo, hi = spec.interval
@@ -66,11 +79,20 @@ def basis_matrix(spec: SplineSpec, us) -> np.ndarray:
         raise DataValidationError(
             f"u={us[outside][0]} outside spline interval [{lo}, {hi}]"
         )
-    if not us.size:
-        return np.zeros((0, spec.dim))
-    from scipy.interpolate import BSpline
-
-    return BSpline.design_matrix(us, spec.knots(), spec.degree).toarray()
+    k, t = spec.degree, spec.knots()
+    span = np.clip(np.searchsorted(t, us, "right") - 1, k, spec.dim - 1)[:, None]
+    u = us[:, None]
+    vals = np.ones((us.size, 1))
+    for j in range(1, k + 1):
+        right = t[span + np.arange(1, j + 1)]
+        left = t[span + np.arange(1 - j, 1)]
+        w = vals / (right - left)
+        vals = np.zeros((us.size, j + 1))
+        vals[:, 1:] = w * (u - left)
+        vals[:, :-1] += w * (right - u)
+    out = np.zeros((us.size, spec.dim))
+    np.put_along_axis(out, span - k + np.arange(k + 1), vals, axis=1)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,27 +243,23 @@ def mise(estimate, truth, grid) -> float:
     """Trapezoid integral of the squared difference over `grid`.
 
     `estimate` and `truth` may be callables or arrays already evaluated on
-    the grid; array lengths must match the grid.
+    the grid; either way their values must be 1-d with the grid's length.
+    The sum is `scipy.integrate.trapezoid`'s, term for term.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise DataValidationError("grid must be a strictly increasing 1-d array")
 
     def on_grid(f, name):
-        if callable(f):
-            return np.asarray(f(grid), dtype=float)
-        arr = np.asarray(f, dtype=float)
-        if arr.shape[0] != grid.size:
-            raise DataValidationError(f"{name} values do not match the grid length")
+        arr = np.asarray(f(grid) if callable(f) else f, dtype=float)
+        if arr.shape != grid.shape:
+            raise DataValidationError(
+                f"{name} values have shape {arr.shape}; the grid needs {grid.shape}"
+            )
         return arr
 
-    e = on_grid(estimate, "estimate")
-    t = on_grid(truth, "truth")
-    if e.shape != t.shape:
-        raise DataValidationError("estimate and truth shapes differ")
-    from scipy.integrate import trapezoid
-
-    return float(trapezoid((e - t) ** 2, grid))
+    sq = (on_grid(estimate, "estimate") - on_grid(truth, "truth")) ** 2
+    return float(np.add.reduce(np.diff(grid) * (sq[1:] + sq[:-1]) / 2.0))
 
 
 def imp(mise_wi: float, mise_wls: float) -> float:

@@ -19,6 +19,9 @@ import vcre
 SRC = str(Path(vcre.__file__).resolve().parent.parent)
 HEAVY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize",
                "scipy.special")
+# What scipy.interpolate would pull in; the spline path needs none of it.
+SPLINE_SKIPS = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse",
+                "scipy.spatial", "scipy.fft")
 
 
 def loaded_modules(code: str) -> list:
@@ -54,6 +57,17 @@ def test_fit_command_skips_heavy_scipy(tmp_path):
     )
     assert (out / "diagnostics.json").exists()
     assert [m for m in HEAVY_SCIPY if m in mods] == []
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--scenario", "imp", "--reps", "2"],
+    ["bench-reml", "--reps", "2"],
+], ids=["simulate-imp", "bench-reml"])
+def test_spline_commands_skip_interpolate_and_its_imports(tmp_path, command):
+    argv = command + ["--seed", "1", "--out-dir", str(tmp_path)]
+    mods = loaded_modules(f"from vcre.cli import main\nassert main({argv!r}) == 0")
+    assert (tmp_path / "run_manifest.json").exists()
+    assert [m for m in SPLINE_SKIPS if m in mods] == []
 
 
 # Names dropped from the public API, by owning module; tests import them there.

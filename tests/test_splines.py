@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vcre import (
@@ -96,6 +96,14 @@ def test_basis_matches_naive_recursion_oracle():
         [naive_recursive_basis(0.37, knots, 3, i) for i in range(spec.dim)]
     )
     assert np.allclose(got, oracle, atol=1e-13)
+
+
+def test_spec_rejects_interval_too_narrow_for_distinct_knots():
+    with pytest.raises(DataValidationError, match="too narrow"):
+        SplineSpec(n_interior_knots=12, interval=(1.0, 1.0 + 4 * np.spacing(1.0)))
+    with pytest.raises(DataValidationError, match="too narrow"):
+        SplineSpec(n_interior_knots=12, interval=(0.0, 5e-323), degree=2)
+    assert SplineSpec(n_interior_knots=3, interval=(1.0, 1.0 + 4 * np.spacing(1.0))).dim == 7
 
 
 def test_basis_outside_interval_rejected():
@@ -237,6 +245,32 @@ def test_mise_mismatched_grid_rejected():
         mise(np.zeros(10), np.zeros(11), grid)
 
 
+def test_mise_rejects_two_dimensional_values():
+    grid = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(DataValidationError, match=r"shape \(11, 2\)"):
+        mise(np.zeros((11, 2)), np.ones((11, 2)), grid)
+    with pytest.raises(DataValidationError, match=r"truth values have shape \(11, 1\)"):
+        mise(np.zeros(11), lambda g: g[:, None], grid)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    steps=st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=60),
+    start=st.floats(min_value=-100.0, max_value=100.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_mise_equals_scipy_trapezoid_bitwise(steps, start, seed, scale):
+    from scipy.integrate import trapezoid
+
+    grid = start + np.cumsum(np.concatenate([[0.0], steps]))
+    assume(np.all(np.diff(grid) > 0))
+    rng = np.random.default_rng(seed)
+    est = scale * rng.normal(size=grid.size)
+    truth = rng.normal(size=grid.size)
+    assert mise(est, truth, grid) == float(trapezoid((est - truth) ** 2, grid))
+
+
 def test_imp_values():
     assert imp(0.2, 0.2) == 0.0
     assert imp(0.3, 0.1) == pytest.approx(2.0)
@@ -278,6 +312,40 @@ def test_basis_matrix_matches_naive_recursion_property(degree, k, interval, frac
                 [naive_recursive_basis(u, knots, degree, i) for i in range(spec.dim)]
             )
         assert np.max(np.abs(row - oracle)) <= 1e-13
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    degree=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=0, max_value=12),
+    interval=st.sampled_from([(0.0, 1.0), (-2.0, 3.5), (0.1, 0.4)]),
+    fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+)
+def test_basis_matrix_equals_scipy_design_matrix(degree, k, interval, fracs):
+    # scipy's BSpline runs the same recursion in the same order, so every
+    # entry must agree exactly, at the same points as the naive-recursion test
+    from scipy.interpolate import BSpline
+
+    spec = SplineSpec(n_interior_knots=k, interval=interval, degree=degree)
+    lo, hi = interval
+    knots = spec.knots()
+    distinct = np.unique(knots)
+    pts = np.concatenate([
+        distinct,
+        np.nextafter(distinct[:-1], hi),
+        np.nextafter(distinct[1:], lo),
+        np.minimum(lo + (hi - lo) * np.asarray(fracs, dtype=float), hi),
+    ])
+    expected = BSpline.design_matrix(pts, knots, degree).toarray()
+    got = basis_matrix(spec, pts)
+    assert got.shape == expected.shape
+    assert np.all(got == expected)
+
+
+def test_basis_matrix_of_no_points():
+    spec = SplineSpec(n_interior_knots=4, interval=(0.0, 1.0), degree=3)
+    assert basis_matrix(spec, []).shape == (0, spec.dim)
+    assert basis_matrix(spec, np.empty(0)).dtype == float
 
 
 def dense_gls_coefficients(ds, spec, Sigma, sigma2):
