@@ -5,8 +5,9 @@ Usage: python3 scripts/output_movement.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold a `vcre` package, such as the
 `src` folder of two checkouts.  Each tree runs in one fresh Python process
-that fits a fixed set of cases with `fit_pipeline` and `compute_diagnostics`:
-the three simulation scenarios at q = 1, 2 and 3 (m = 100, h = 0.15), each
+that generates one dataset for each of the three simulation scenarios at
+q = 1, 2 and 3 (m = 100), whose stacked u, y, X and Z are the data.* fields.
+It then fits each with `fit_pipeline` and `compute_diagnostics` (h = 0.15),
 with one extra cluster of n_i = q rows that is excluded from variance
 estimation.  Each case also fits the WI and WLS splines (9 interior knots,
 WLS weighted by the case's variance components), and at each q one
@@ -45,6 +46,7 @@ for scenario in ("gaussian", "uniform_noise", "misspecified"):
         cfg = ScenarioConfig(scenario=scenario, m=100, seed=20 + q,
                              Sigma=0.5 * (np.eye(q) + np.ones((q, q))))
         ds = generate(cfg, 0)
+        data = {"data.u": ds.u_all, "data.y": ds.y_all, "data.X": ds.X_all, "data.Z": ds.Z_all}
         rng = np.random.default_rng(q)
         tiny = Cluster(id="tiny", u=rng.random(q), y=rng.normal(size=q),
                        X=rng.normal(size=(q, 2)), Z=rng.normal(size=(q, q)))
@@ -55,6 +57,7 @@ for scenario in ("gaussian", "uniform_noise", "misspecified"):
         diag = compute_diagnostics(ds, cfg.kernel, fit)
         vc = fit.variance
         fields = {
+            **data,
             "wi": fit_wi(ds, spec).coefficients,
             "wls": fit_wls(ds, spec, vc).coefficients,
             "curve.values": fit.curve.values,

@@ -102,7 +102,7 @@ def squared_noise_variance(res, proj: ProjectionSet) -> float:
     consistent).
     """
     dof = proj.dof
-    _, eps_hat = proj.regress(res.stacked()[proj.rows])
+    _, eps_hat = proj.regress(res.values[proj.rows])
     w = eps_hat**2
     center = float(np.sum(w)) / dof
     return float(np.sum((w - center) ** 2)) / dof

@@ -66,9 +66,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs, out
         "wall_time_s": wall,
         "version": __version__,
     }
-    path = out_dir / "run_manifest.json"
+    return _write_json(out_dir / "run_manifest.json", manifest)
+
+
+def _write_json(path: Path, obj) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -160,7 +163,8 @@ def _build_parser():
     sim.add_argument("--knots", default="7:15", help="knot range for the imp scenario")
     sim.add_argument("--grid-size", type=int, default=401)
     sim.add_argument("--degree", type=int, default=3)
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; replications run serially")
     sim.add_argument("--out-dir", default=".")
     sim.add_argument("--config", default=None)
 
@@ -175,7 +179,8 @@ def _build_parser():
     bench.add_argument("--degree", type=int, default=3)
     bench.add_argument("--force", action="store_true",
                        help="allow q > 3 despite optimization fragility")
-    bench.add_argument("--threads", type=int, default=1)
+    bench.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; replications run serially")
     bench.add_argument("--out-dir", default=".")
     bench.add_argument("--config", default=None)
 
@@ -263,22 +268,14 @@ def _cmd_fit(args) -> int:
     curve_path = out_dir / "curve.csv"
     write_curve_csv(fit.curve, curve_path)
     outputs.append(curve_path)
-    vc_path = out_dir / "variance_components.json"
-    with open(vc_path, "w", encoding="utf-8") as fh:
-        json.dump(fit.variance.to_report(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(vc_path)
+    outputs.append(_write_json(out_dir / "variance_components.json", fit.variance.to_report()))
     effects_path = out_dir / "effects.csv"
     write_effects_csv(fit.effects, effects_path)
     outputs.append(effects_path)
     summary = {"sigma2": fit.variance.sigma2}
     if not args.skip_diagnostics:
         diag = compute_diagnostics(ds, kernel, fit)
-        diag_path = out_dir / "diagnostics.json"
-        with open(diag_path, "w", encoding="utf-8") as fh:
-            json.dump(diag.to_report(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs.append(diag_path)
+        outputs.append(_write_json(out_dir / "diagnostics.json", diag.to_report()))
         summary["se_sigma2"] = diag.se_sigma2
     config = {
         "data": str(args.data),

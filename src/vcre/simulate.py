@@ -10,20 +10,18 @@ still records the raw covariates.
 
 Randomness is counter-based: every (seed, replication, cluster) triple owns
 an independent stream, so results are bit-identical regardless of execution
-order or worker count.  Normal draws use the inverse-CDF transform for
-cross-platform reproducibility.
+order.  Normal draws use the inverse-CDF transform for cross-platform
+reproducibility.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
-from .data import Cluster, LongitudinalDataset
+from .data import LongitudinalDataset
 from .errors import DataValidationError, NumericalError, VcreError
 from .kernels import KernelSpec
 from .reml import fit_reml
@@ -108,33 +106,109 @@ def _cluster_rng(seed: int, rep: int, cluster: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _std_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    u = rng.random(shape)
-    return ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+# Cephes' ndtri (Moshier), the inverse standard normal CDF that scipy.special
+# ships: a rational approximation in (p - 1/2)^2 for exp(-2) < p < 1 - exp(-2),
+# otherwise one in 1/x with x = sqrt(-2 log p) (P1/Q1 for x < 8, P2/Q2 beyond).
+# The tail takes its logarithms from libm (math.log), as Cephes does, so the
+# draws are scipy's bit for bit; numpy's vectorized log can differ in the last bit.
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _ratio(x: np.ndarray, num, den) -> np.ndarray:
+    """x * num(x) / den(x): Horner sums, den with an implicit leading 1 (polevl / p1evl)."""
+    top, bottom = np.full_like(x, num[0]), x + den[0]
+    for c in num[1:]:
+        top = top * x + c
+    for c in den[1:]:
+        bottom = bottom * x + c
+    return x * top / bottom
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF on 0 < p < 1, equal to scipy.special.ndtri bitwise."""
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    d = y[mid] - 0.5
+    out[mid] = (d + d * _ratio(d * d, _P0, _Q0)) * 2.50662827463100050242
+    tail = ~mid
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x1 = _ratio(z, _P1, _Q1)
+    far = x >= 8.0
+    if far.any():
+        x1[far] = _ratio(z[far], _P2, _Q2)
+    x = x - _libm_log(x) / x - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+def _std_normal(u: np.ndarray) -> np.ndarray:
+    return _ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
 
 
 def generate(cfg: ScenarioConfig, rep_index: int) -> LongitudinalDataset:
-    """Generate one replication's dataset, deterministic per (seed, rep_index)."""
-    q = cfg.q
+    """Generate one replication's dataset, deterministic per (seed, rep_index).
+
+    Cluster i draws from its own stream: a normal theta for its size
+    n_i = floor(|2 theta|) + 6, then one block of n_i (4 + q) + q uniforms
+    that splits, in order, into u (n_i), X (n_i x 2), Z (n_i x q), the effect
+    e (q) and the noise (n_i).  One inverse-CDF transform covers every
+    normal draw of the dataset.
+    """
+    q, width = cfg.q, 4 + cfg.q
     chol = np.linalg.cholesky(cfg.Sigma + 1e-12 * np.eye(q))
+    rngs = [_cluster_rng(cfg.seed, rep_index, i) for i in range(cfg.m)]
+    theta = 2.0 * _std_normal(np.array([rng.random() for rng in rngs]))
+    sizes = np.floor(np.abs(theta)).astype(int) + 6
+    block = np.concatenate([rng.random(n * width + q) for rng, n in zip(rngs, sizes.tolist())])
+    normal = _std_normal(block)
+    offsets = np.cumsum(sizes) - sizes
+    starts = offsets * width + q * np.arange(cfg.m)  # where each cluster's block starts
+    # the j-th row of a cluster reads its u at start + j, its x at start + n_i + 2j,
+    # its z at start + 3 n_i + q j and its noise at start + (3 + q) n_i + q + j
+    at, n_i = np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    j = np.arange(at.size) - np.repeat(offsets, sizes)
+    u = block[at + j]
+    X = normal[(at + n_i + 2 * j)[:, None] + np.arange(2)]
+    Z = normal[(at + 3 * n_i + q * j)[:, None] + np.arange(q)]
+    noise = at + (3 + q) * n_i + q + j
     sd = math.sqrt(cfg.sigma2)
-    clusters = []
-    for i in range(cfg.m):
-        rng = _cluster_rng(cfg.seed, rep_index, i)
-        theta = 2.0 * float(_std_normal(rng, ()))
-        n_i = int(math.floor(abs(theta))) + 6
-        u = rng.random(n_i)
-        X = _std_normal(rng, (n_i, 2))
-        Z = _std_normal(rng, (n_i, q))
-        e = chol @ _std_normal(rng, q)
-        if cfg.scenario == "uniform_noise":
-            eps = math.sqrt(3.0) * sd * (2.0 * rng.random(n_i) - 1.0)
-        else:
-            eps = sd * _std_normal(rng, n_i)
-        effect_design = _effect_nonlinearity(Z) if cfg.scenario == "misspecified" else Z
-        y = np.sum(X * coefficient_values(u), axis=1) + effect_design @ e + eps
-        clusters.append(Cluster(id=f"c{i:04d}", u=u, y=y, X=X, Z=Z))
-    return LongitudinalDataset(clusters=tuple(clusters), p=2, q=q)
+    if cfg.scenario == "uniform_noise":
+        eps = math.sqrt(3.0) * sd * (2.0 * block[noise] - 1.0)
+    else:
+        eps = sd * normal[noise]
+    design = _effect_nonlinearity(Z) if cfg.scenario == "misspecified" else Z
+    effect = np.empty_like(u)
+    # per-cluster products: one stacked product would sum in another order
+    for s, n, e in zip(offsets.tolist(), sizes.tolist(), (starts + (3 + q) * sizes).tolist()):
+        effect[s : s + n] = design[s : s + n] @ (chol @ normal[e : e + q])
+    y = np.sum(X * coefficient_values(u), axis=1) + effect + eps
+    return LongitudinalDataset.from_columns(
+        [f"c{i:04d}" for i in range(cfg.m)], sizes, u, y, X, Z
+    )
 
 
 ESTIMANDS = ("sigma11", "sigma12", "sigma22", "sigma2")
@@ -164,25 +238,10 @@ class MseTable:
         return rows
 
 
-def _sq_errors(values: dict, truth: dict) -> np.ndarray:
-    return np.array([(values[k] - truth[k]) ** 2 for k in ESTIMANDS])
-
-
-def _components_to_values(vc) -> dict:
-    S = vc.sigma_raw.entries
-    return {
-        "sigma11": float(S[0, 0]),
-        "sigma12": float(S[0, 1]),
-        "sigma22": float(S[1, 1]),
-        "sigma2": float(vc.sigma2),
-    }
-
-
-def _map_reps(worker, rep_indices, threads: int):
-    if threads <= 1:
-        return [worker(r) for r in rep_indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, rep_indices))
+def _sq_errors(Sigma: np.ndarray, sigma2: float, truth: dict) -> np.ndarray:
+    """Squared errors of the ESTIMANDS: Sigma's (1,1), (1,2), (2,2) entries and sigma2."""
+    values = (Sigma[0, 0], Sigma[0, 1], Sigma[1, 1], sigma2)
+    return np.array([(float(v) - truth[k]) ** 2 for k, v in zip(ESTIMANDS, values)])
 
 
 def run_mse_study(
@@ -198,7 +257,8 @@ def run_mse_study(
     Methods: "closed_form" and/or "reml"; the latter is run once per knot
     count in `reml_knots` (initialized from that replication's closed-form
     estimates).  Failed replications are excluded and counted; more than 5%
-    failures abort the study.
+    failures abort the study.  Replications run serially; `threads` is
+    accepted and has no effect.
     """
     methods = tuple(methods)
     for meth in methods:
@@ -227,7 +287,7 @@ def run_mse_study(
             vc = fit.variance
             col = 0
             if "closed_form" in methods:
-                out[:, col] = _sq_errors(_components_to_values(vc), truth)
+                out[:, col] = _sq_errors(vc.sigma_raw.entries, vc.sigma2, truth)
                 col += 1
             if "reml" in methods:
                 for k in reml_knots:
@@ -235,20 +295,14 @@ def run_mse_study(
                         n_interior_knots=k, interval=(0.0, 1.0), degree=spline_degree
                     )
                     rf = fit_reml(ds, spec, init=vc)
-                    values = {
-                        "sigma11": float(rf.Sigma.entries[0, 0]),
-                        "sigma12": float(rf.Sigma.entries[0, 1]),
-                        "sigma22": float(rf.Sigma.entries[1, 1]),
-                        "sigma2": rf.sigma2,
-                    }
-                    out[:, col] = _sq_errors(values, truth)
+                    out[:, col] = _sq_errors(rf.Sigma.entries, rf.sigma2, truth)
                     converged[f"reml_k{k}"] = bool(rf.converged)
                     col += 1
             return out, converged, None
         except VcreError as e:
             return out, converged, e
 
-    results = _map_reps(worker, rep_indices, threads)
+    results = [worker(rep) for rep in rep_indices]
     per_rep = np.stack([r[0] for r in results])
     failures = sum(1 for r in results if r[2] is not None)
     if failures > 0.05 * len(rep_indices):
@@ -314,7 +368,8 @@ def run_imp_study(
     integrals on a uniform grid are averaged across replications and the
     improvement ratio is formed from the averaged MISEs.  The weighted fit
     uses that replication's estimated variance components unless
-    `variance_override` is given.
+    `variance_override` is given.  Replications run serially; `threads` is
+    accepted and has no effect.
     """
     knots = tuple(int(k) for k in knot_range)
     if not knots:
@@ -346,7 +401,7 @@ def run_imp_study(
         except VcreError as e:
             return wi_out, wls_out, e
 
-    results = _map_reps(worker, range(reps), threads)
+    results = [worker(rep) for rep in range(reps)]
     failures = sum(1 for r in results if r[2] is not None)
     if failures > 0.05 * reps:
         raise NumericalError(f"{failures} of {reps} replications failed; study aborted")

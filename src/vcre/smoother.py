@@ -87,20 +87,16 @@ class CoefficientCurve:
 
 @dataclass(frozen=True, eq=False)
 class ResidualSet:
-    """Per-cluster residual vectors, aligned with the dataset's cluster order."""
+    """Smoother residuals of every observation, in the dataset's stacked row order.
+
+    `values[ds.cluster_slice(i)]` holds the residuals of cluster `cluster_ids[i]`.
+    """
 
     cluster_ids: tuple[str, ...]
-    residuals: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.cluster_ids) != len(self.residuals):
-            raise DataValidationError("one residual vector per cluster required")
-        object.__setattr__(
-            self, "residuals", tuple(np.asarray(r, dtype=float) for r in self.residuals)
-        )
+    values: np.ndarray  # (n,)
 
     def stacked(self) -> np.ndarray:
-        return np.concatenate(self.residuals)
+        return self.values
 
 
 class _Windows:
@@ -323,18 +319,13 @@ def curvature_at_points(
 def residuals(
     ds: LongitudinalDataset, curve: CoefficientCurve, interpolate: bool = False
 ) -> ResidualSet:
-    """Smoother residuals y - x^T a_hat(u), one vector per cluster.
+    """Smoother residuals y - x^T a_hat(u) of every observation, stacked.
 
     Exact mode (default) requires the curve to contain every observed index
     value; interpolation mode reads a_hat off the curve's grid linearly.
     """
-    rs = []
-    ids = []
-    for c in ds.clusters:
-        a_vals = curve.values_at(c.u, interpolate=interpolate)
-        rs.append(c.y - np.sum(c.X * a_vals, axis=1))
-        ids.append(c.id)
-    return ResidualSet(cluster_ids=tuple(ids), residuals=tuple(rs))
+    a_vals = curve.values_at(ds.u_all, interpolate=interpolate)
+    return ResidualSet(cluster_ids=ds.ids, values=ds.y_all - np.sum(ds.X_all * a_vals, axis=1))
 
 
 def write_curve_csv(curve: CoefficientCurve, target) -> None:

@@ -181,21 +181,24 @@ def fit_wi(ds: LongitudinalDataset, spec: SplineSpec) -> SplineFit:
     return SplineFit(spec=spec, coefficients=coef, mode="wi")
 
 
-def _cluster_weight(c, Sigma: np.ndarray, sigma2: float, jitter_events: list):
+def _cluster_weight(
+    cid: str, Z: np.ndarray, Sigma: np.ndarray, sigma2: float, jitter_events: list
+):
     from scipy.linalg import cho_factor
 
-    V = c.Z @ Sigma @ c.Z.T + sigma2 * np.eye(c.n)
+    n = Z.shape[0]
+    V = Z @ Sigma @ Z.T + sigma2 * np.eye(n)
     try:
         return cho_factor(V)
     except np.linalg.LinAlgError:
-        eps = 1e-8 * np.trace(V) / c.n
+        eps = 1e-8 * np.trace(V) / n
         try:
-            factor = cho_factor(V + eps * np.eye(c.n))
+            factor = cho_factor(V + eps * np.eye(n))
         except np.linalg.LinAlgError:
             raise NumericalError(
-                f"cluster {c.id}: singular weight matrix even after jitter"
+                f"cluster {cid}: singular weight matrix even after jitter"
             ) from None
-        jitter_events.append(c.id)
+        jitter_events.append(cid)
         return factor
 
 
@@ -225,10 +228,10 @@ def fit_wls(
         from scipy.linalg import cho_solve
 
         gram = np.zeros_like(stats.gram)
-        for i, c in enumerate(ds.clusters):
-            dy = stats.dy[ds.cluster_slice(i)]
-            factor = _cluster_weight(c, Sigma, sigma2, jitter_events)
-            gram += dy.T @ cho_solve(factor, dy)
+        for i, cid in enumerate(ds.ids):
+            rows = ds.cluster_slice(i)
+            factor = _cluster_weight(cid, ds.Z_all[rows], Sigma, sigma2, jitter_events)
+            gram += stats.dy[rows].T @ cho_solve(factor, stats.dy[rows])
     coef = _solve_normal_equations(gram, spec.dim, ds.p)
     return SplineFit(
         spec=spec,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LongitudinalDataset, _write_csv, _z_ranks
+from .data import LongitudinalDataset, _write_csv
 from .errors import DataValidationError, VcreError
 from .kernels import KernelSpec
 from .smoother import CoefficientCurve, ResidualSet, fit_curve, residuals
@@ -83,15 +83,14 @@ def cluster_projections(
     """
     q = ds.q
     sizes = np.diff(ds.offsets)
-    ranks = _z_ranks(ds)
-    feasible = (sizes > q) & (ranks >= q)
+    feasible = (sizes > q) & (ds.z_ranks >= q)
     for i in np.flatnonzero(~feasible):
-        c = ds.clusters[i]
-        reason = f"n_i={c.n} <= q={q}" if c.n <= q else "rank-deficient random-effect design"
+        n, cid = sizes[i], ds.ids[i]
+        reason = f"n_i={n} <= q={q}" if n <= q else "rank-deficient random-effect design"
         if not skip_infeasible:
-            raise DataValidationError(f"cluster {c.id}: {reason}")
+            raise DataValidationError(f"cluster {cid}: {reason}")
         warnings.warn(
-            f"cluster {c.id}: {reason}; excluded from variance estimation", stacklevel=2
+            f"cluster {cid}: {reason}; excluded from variance estimation", stacklevel=2
         )
     if not feasible.any():
         raise DataValidationError("no cluster is eligible for variance estimation")
@@ -104,7 +103,7 @@ def cluster_projections(
     gram_inv = 0.5 * (gram_inv + gram_inv.transpose(0, 2, 1))
     gram_inv_mean = np.mean(gram_inv, axis=0)
     gram_inv_mean.flags.writeable = False  # also handed out as B1 and Gamma_hat
-    ids = np.array([c.id for c in ds.clusters], dtype=object)
+    ids = np.array(ds.ids, dtype=object)
     return ProjectionSet(
         q=q,
         cluster_ids=tuple(ids[feasible]),
@@ -124,7 +123,7 @@ def estimate_noise_variance(res: ResidualSet, proj: ProjectionSet) -> float:
     Sums |(I - P) r|^2 = r^T (I - P) r over eligible clusters and divides by
     the synthetic degrees of freedom n - q m (counting eligible clusters only).
     """
-    _, eps = proj.regress(res.stacked()[proj.rows])
+    _, eps = proj.regress(res.values[proj.rows])
     return float(eps @ eps) / proj.dof
 
 
@@ -138,7 +137,7 @@ class EffectEstimates:
 
 def estimate_effects(res: ResidualSet, proj: ProjectionSet) -> EffectEstimates:
     """Least-squares effect estimate (Z^T Z)^{-1} Z^T r per eligible cluster."""
-    effects, _ = proj.regress(res.stacked()[proj.rows])
+    effects, _ = proj.regress(res.values[proj.rows])
     return EffectEstimates(cluster_ids=proj.cluster_ids, effects=effects)
 
 

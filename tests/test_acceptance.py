@@ -212,7 +212,7 @@ def test_criterion_6_oracle_equivalence():
     total, n = 0.0, 0
     moment = np.zeros((2, 2))
     correction = np.zeros((2, 2))
-    rmap = dict(zip(fit.residuals.cluster_ids, fit.residuals.residuals))
+    rmap = dict(zip(fit.residuals.cluster_ids, np.split(fit.residuals.values, ds.offsets[1:-1])))
     for c in ds.clusters:
         r = rmap[c.id]
         gi = np.linalg.inv(c.Z.T @ c.Z)

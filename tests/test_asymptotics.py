@@ -330,7 +330,7 @@ def test_sandwich_se_coverage():
 def dense_oracle(ds, fit, curvature):
     """The closed-form quantities from explicit per-cluster n_i x n_i projections."""
     q = ds.q
-    rmap = dict(zip(fit.residuals.cluster_ids, fit.residuals.residuals))
+    rmap = dict(zip(fit.residuals.cluster_ids, np.split(fit.residuals.values, ds.offsets[1:-1])))
     eta_all = np.sum(ds.X_all * curvature, axis=1)
     rss = lev_sq = b = 0.0
     B2 = np.zeros((q, q))

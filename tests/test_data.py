@@ -6,17 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcre import (
+    Cluster,
     CsvParseError,
     CsvSchema,
     DataValidationError,
+    KernelSpec,
+    LongitudinalDataset,
+    ScenarioConfig,
     SchemaError,
+    cluster_projections,
+    generate,
     load_dataset,
     validate,
     write_dataset,
 )
-from vcre.data import _z_ranks
 
-from helpers import dataset_from_arrays, random_dataset
+from helpers import (
+    dataset_from_arrays,
+    load_dataset_per_cell,
+    random_dataset,
+    same_bits,
+    same_dataset,
+)
 
 SMALL = """cluster,u,y,x1,z1
 a,0.1,1.0,1.0,1.0
@@ -158,5 +169,110 @@ def test_stacked_z_ranks_match_per_cluster_matrix_rank(seed, q, sizes, exponents
         rows += [(f"c{i}", 0.1 * j, 1.0, [1.0], z[j]) for j in range(n_i)]
     ds = dataset_from_arrays(rows, p=1, q=q)
     per_cluster = [int(np.linalg.matrix_rank(c.Z)) for c in ds.clusters]
-    assert _z_ranks(ds).tolist() == per_cluster
+    assert ds.z_ranks.tolist() == per_cluster
     assert [c.z_rank for c in validate(ds).checks] == per_cluster
+
+
+def interleaved_csv(seed: int) -> str:
+    """A written dataset with its data rows shuffled, so clusters interleave."""
+    buf = io.StringIO()
+    write_dataset(random_dataset(seed=seed, m=7, p=2, q=3, sigma=0.7), buf)
+    header, *rows = buf.getvalue().splitlines()
+    order = np.random.default_rng(seed).permutation(len(rows))
+    return "\n".join([header] + [rows[k] for k in order]) + "\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_load_equals_per_cell_oracle_on_repr_floats(seed):
+    text = interleaved_csv(seed)
+    assert same_dataset(load_dataset(io.StringIO(text)), load_dataset_per_cell(io.StringIO(text)))
+
+
+def test_load_equals_per_cell_oracle_on_hand_written_cells():
+    text = (
+        "cluster,u,y,x1,z1\n"
+        "b,1e3, 2 ,-0.0,+.5\n"
+        "\n"
+        "a,.25,-1E-3,1_000,0.1\n"
+        "b,-0.0,+7,3.,  -2.5e+2\n"
+    )
+    new, old = load_dataset(io.StringIO(text)), load_dataset_per_cell(io.StringIO(text))
+    assert same_dataset(new, old)
+    assert new.ids == ("b", "a")
+    assert same_bits(new.X_all[0], np.array([-0.0]))
+
+
+@pytest.mark.parametrize("row", [
+    "b,0.3,nan,1.0,1.0",
+    "b,0.3,1.0,inf,1.0",
+    "b,0.3,1.0,1.0,-inf",
+    "b,0.3,1.0,abc,1.0",
+    "b,0.3,,1.0,1.0",
+    ",0.3,1.0,1.0,1.0",
+    "b,0.3,1.0",
+    "b",
+])
+def test_bad_cells_fail_with_the_per_cell_message(row):
+    # the bad row follows a blank line: line 4 of the file, the 3rd record
+    text = f"cluster,u,y,x1,z1\na,0.1,1.0,1.0,1.0\n\n{row}\na,0.2,1.0,1.0,1.0\n"
+    with pytest.raises(Exception) as new:
+        load_dataset(io.StringIO(text))
+    with pytest.raises(Exception) as old:
+        load_dataset_per_cell(io.StringIO(text))
+    assert type(new.value) is type(old.value)
+    assert str(new.value) == str(old.value)
+    assert "row 4" in str(new.value) or "cluster b: non-finite" in str(new.value)
+
+
+def test_first_bad_row_is_named():
+    text = "cluster,u,y,x1,z1\na,0.1,1.0,1.0,1.0\nb,0.3,1.0,x,1.0\na,0.2,y,1.0,1.0\n"
+    with pytest.raises(CsvParseError, match=r"^row 3: column 'x1': could not parse 'x'"):
+        load_dataset(io.StringIO(text))
+
+
+def test_columns_are_checked_once_with_the_cluster_message():
+    sizes, n = [2, 3], 5
+    u, y, X, Z = np.linspace(0, 1, n), np.zeros(n), np.ones((n, 1)), np.ones((n, 1))
+    X[3, 0] = np.nan
+    y[4] = np.inf
+    with pytest.raises(DataValidationError, match="cluster b: non-finite value in y"):
+        LongitudinalDataset.from_columns(["a", "b"], sizes, u, y, X, Z)
+    with pytest.raises(DataValidationError, match="cluster b: needs at least one"):
+        LongitudinalDataset.from_columns(["a", "b"], [5, 0], u, y, X, Z)
+    X[3, 0] = 1.0
+    y[4] = 0.0
+    ds = LongitudinalDataset.from_columns(["a", "b"], sizes, u, y, X, Z)
+    assert [c.n for c in ds.clusters] == sizes
+    assert not ds.y_all.flags.writeable
+
+
+def test_cluster_built_dataset_equals_column_built():
+    ds = generate(ScenarioConfig(seed=4, m=12, Sigma=np.eye(3)), 0)
+    from_clusters = LongitudinalDataset(
+        [Cluster(c.id, c.u.copy(), c.y.copy(), c.X.copy(), c.Z.copy()) for c in ds.clusters],
+        p=2, q=3,
+    )
+    assert same_dataset(from_clusters, ds)
+    assert [c.id for c in from_clusters.clusters] == list(ds.ids)
+
+
+def test_z_ranks_computed_once_per_dataset(monkeypatch):
+    # validate and the variance stage share one rank computation
+    ds = random_dataset(seed=5, m=8, n_range=(4, 6))
+    calls = []
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda a: calls.append(1) or rank(a))
+    validate(ds)
+    cluster_projections(ds)
+    assert len(calls) == np.unique(np.diff(ds.offsets)).size
+
+
+def test_fit_path_builds_no_cluster_objects():
+    from vcre import compute_diagnostics, fit_pipeline
+
+    ds = generate(ScenarioConfig(seed=6, m=30), 0)
+    kernel = KernelSpec(bandwidth=0.2)
+    compute_diagnostics(ds, kernel, fit_pipeline(ds, kernel))
+    validate(ds)
+    write_dataset(ds, io.StringIO())
+    assert "clusters" not in vars(ds)

@@ -70,6 +70,18 @@ def test_spline_commands_skip_interpolate_and_its_imports(tmp_path, command):
     assert [m for m in SPLINE_SKIPS if m in mods] == []
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--scenario", "gaussian", "--reps", "2"],
+    ["bench-reml", "--reps", "2"],
+], ids=["simulate-gaussian", "bench-reml"])
+def test_normal_draws_and_reml_load_no_scipy(tmp_path, command):
+    # the inverse normal CDF is a numpy port of scipy's, so these commands need no scipy
+    argv = command + ["--seed", "1", "--out-dir", str(tmp_path)]
+    mods = loaded_modules(f"from vcre.cli import main\nassert main({argv!r}) == 0")
+    assert (tmp_path / "run_manifest.json").exists()
+    assert [m for m in mods if m == "scipy" or m.startswith("scipy.")] == []
+
+
 # Names dropped from the public API, by owning module; tests import them there.
 PRIVATE = {
     "asymptotics": ("LeverageConstants",),

@@ -12,9 +12,11 @@ from vcre import (
     run_imp_study,
     run_mse_study,
 )
-from vcre.simulate import default_effect_cov
+from vcre.simulate import SCENARIOS, _EXP_M2, _ndtri, default_effect_cov
 from vcre.varcomp import VarianceComponents
 from vcre.symmat import SymMatrix
+
+from helpers import generate_per_cluster, same_bits, same_dataset
 
 
 def test_generation_is_deterministic():
@@ -27,6 +29,36 @@ def test_generation_is_deterministic():
         assert np.array_equal(c1.y, c2.y)
         assert np.array_equal(c1.X, c2.X)
         assert np.array_equal(c1.Z, c2.Z)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_generate_equals_per_cluster_oracle(scenario, q):
+    # the block draws and the stacked transform give the per-cluster
+    # generator's datasets bit for bit: labels, sizes, u, y, X and Z
+    for m in (100, 400):
+        cfg = ScenarioConfig(scenario=scenario, m=m, seed=30 + q, Sigma=default_effect_cov(q))
+        for rep in range(3):
+            assert same_dataset(generate(cfg, rep), generate_per_cluster(cfg, rep)), (m, rep)
+
+
+def test_ndtri_equals_scipy_bitwise():
+    from scipy.special import ndtri
+
+    def around(p, width):
+        return p + np.arange(-width, width + 1) * np.spacing(p)
+
+    draws = np.clip(np.random.default_rng(3).random(1_000_000), 1e-300, 1.0 - 1e-16)
+    # the clip ends, both ends of the central branch, and the switch from
+    # P1/Q1 to P2/Q2 at x = sqrt(-2 log p) = 8, that is p = exp(-32)
+    x8 = np.exp(-32.0) * (1.0 + np.linspace(-1e-12, 1e-12, 401))
+    x = np.sqrt(-2.0 * np.log(x8))
+    assert (x < 8.0).any() and (x >= 8.0).any()
+    edges = np.concatenate([
+        [1e-300, 1.0 - 1e-16], around(_EXP_M2, 4), around(1.0 - _EXP_M2, 4), x8, 1.0 - x8,
+    ])
+    for p in (draws, edges):
+        assert same_bits(_ndtri(p), ndtri(p))
 
 
 def test_distinct_reps_differ():

@@ -174,7 +174,7 @@ def test_default_eval_points_cover_observations():
     curve = fit_curve(ds, KernelSpec(bandwidth=0.4))
     assert np.array_equal(curve.points, np.unique(ds.u_all))
     res = residuals(ds, curve)
-    assert sum(r.size for r in res.residuals) == ds.n
+    assert res.values.shape == (ds.n,)
 
 
 def test_residuals_zero_for_noise_free_affine():
@@ -211,8 +211,8 @@ def test_residuals_equal_effect_contribution_with_true_curve():
     pts = np.unique(ds.u_all)
     curve = CoefficientCurve(points=pts, values=coef(pts), slopes=np.zeros((pts.size, 2)))
     res = residuals(ds, curve)
-    for cid, r, c in zip(res.cluster_ids, res.residuals, ds.clusters):
-        assert np.allclose(r, c.Z @ effects[cid], atol=1e-12)
+    for i, (cid, c) in enumerate(zip(res.cluster_ids, ds.clusters)):
+        assert np.allclose(res.values[ds.cluster_slice(i)], c.Z @ effects[cid], atol=1e-12)
 
 
 def test_residuals_match_pointwise_recomputation():
@@ -224,7 +224,8 @@ def test_residuals_match_pointwise_recomputation():
     kernel = KernelSpec(bandwidth=0.15)
     curve = fit_curve(ds, kernel)
     res = residuals(ds, curve)
-    for c, r in zip(ds.clusters[:3], res.residuals[:3]):
+    for i, c in enumerate(ds.clusters[:3]):
+        r = res.values[ds.cluster_slice(i)]
         for j in range(c.n):
             a, _ = local_linear_fit(ds, float(c.u[j]), kernel)
             assert r[j] == pytest.approx(float(c.y[j] - c.X[j] @ a), abs=1e-12)

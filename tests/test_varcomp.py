@@ -16,9 +16,7 @@ from helpers import dataset_from_arrays, dense_hats, random_dataset
 
 
 def residual_set(ds, vectors):
-    return ResidualSet(
-        cluster_ids=tuple(c.id for c in ds.clusters), residuals=tuple(vectors)
-    )
+    return ResidualSet(cluster_ids=ds.ids, values=np.concatenate(vectors))
 
 
 def test_mean_projection():
